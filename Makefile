@@ -59,6 +59,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzV3Differential$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderDifferential$$' -fuzztime $(FUZZTIME) ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTableDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzDualRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) ./internal/lossless

@@ -199,7 +199,8 @@ func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
 	if len(selectors) != bs {
 		return nil, ErrCorrupt
 	}
-	bins, err := huffman.DecodeInts(pr)
+	var hs huffman.DecodeScratch
+	bins, err := hs.DecodeInts(pr, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}

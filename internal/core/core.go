@@ -32,11 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
-	"github.com/mdz/mdz/internal/huffman"
 	"github.com/mdz/mdz/internal/kmeans"
 	"github.com/mdz/mdz/internal/lossless"
 	"github.com/mdz/mdz/internal/pool"
@@ -906,13 +906,23 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 	tx := d.p.Budget.Begin()
 	defer tx.Close()
 	// The output matrix is the decoder's single largest claimed-size
-	// allocation: charge it before materializing.
+	// allocation: charge it before materializing. Without a budget the
+	// claim is trusted only once a shard's sections decode to exactly its
+	// share of the geometry, so the first such shard materializes it: a
+	// forged header over a payload that cannot fill it fails first.
 	if err := tx.Reserve(8 * int64(h.bs) * int64(h.n)); err != nil {
 		return nil, err
 	}
-	out := make([][]float64, h.bs)
-	for t := range out {
-		out[t] = make([]float64, h.n)
+	var out [][]float64
+	var outOnce sync.Once
+	alloc := func() [][]float64 {
+		outOnce.Do(func() {
+			out = make([][]float64, h.bs)
+			for t := range out {
+				out[t] = make([]float64, h.n)
+			}
+		})
+		return out
 	}
 	offs := shardOffsets(h.shards)
 	// Same chunked affinity as the encoder: one scratch per participating
@@ -925,7 +935,7 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 			if cerr := ctxErr(ctx); cerr != nil {
 				return cerr
 			}
-			if serr := d.decodeShard(ctx, q, h, h.shards[s], offs[s], out, tx, sc, s); serr != nil {
+			if serr := d.decodeShard(ctx, q, h, h.shards[s], offs[s], alloc, tx, sc, s); serr != nil {
 				return serr
 			}
 		}
@@ -943,10 +953,11 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 }
 
 // decodeShard reconstructs one shard's particle columns [lo, lo+particles)
-// into out. Shards write disjoint column ranges, so they are safe to decode
-// concurrently. sc is the calling chunk's scratch, shared by every shard of
-// the chunk.
-func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header, sh shardSec, lo int, out [][]float64, tx *budget.Tx, sc *decodeScratch, shard int) error {
+// into the output matrix, which alloc materializes once the shard's
+// sections have decoded. Shards write disjoint column ranges, so they are
+// safe to decode concurrently. sc is the calling chunk's scratch, shared by
+// every shard of the chunk.
+func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header, sh shardSec, lo int, alloc func() [][]float64, tx *budget.Tx, sc *decodeScratch, shard int) error {
 	if d.p.FaultHook != nil {
 		d.p.FaultHook("decode_shard", shard)
 	}
@@ -955,6 +966,7 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 	if err != nil {
 		return err
 	}
+	out := alloc()
 	// Strided reads pull each row straight out of the serialized order —
 	// Seq-2 streams are no longer deinterleaved into a scratch copy.
 	stride, rowStep := 1, sn
@@ -1256,43 +1268,30 @@ func parseHeader(blk []byte) (*header, error) {
 }
 
 // sections decompresses one shard payload and splits it into the bin
-// stream, level-delta stream and outlier bytes, reusing sc's buffers when
-// provided. The block version selects the matching backend and entropy
-// codec. The returned slices alias sc and must not outlive its use.
+// stream, level-delta stream and outlier bytes, reusing sc's buffers and
+// Huffman tables. The block version selects the matching backend and the
+// entropy sections' lane layout. The returned slices alias sc and must not
+// outlive its use.
 func (d *Decoder) sections(ver byte, body []byte, bs, sn int, sc *decodeScratch, tx *budget.Tx) (bins, levels []int, outliers []byte, err error) {
-	backend := d.p.Backend
+	backend, lanes := d.p.Backend, 1
 	if ver == formatVer3 {
-		backend = d.backendV3
+		backend, lanes = d.backendV3, 2
 	}
 	payload, err := lossless.DecompressTx(backend, body, tx)
 	if err != nil {
 		return nil, nil, nil, corrupt(err)
 	}
 	pr := bitstream.NewByteReader(payload)
-	var binsBuf, levelsBuf []int
-	if sc != nil {
-		binsBuf, levelsBuf = sc.bins, sc.levels
-	}
 	hsw := d.tel.HuffNS.Start()
-	if ver == formatVer3 {
-		if bins, err = huffman.DecodeInts2Tx(pr, binsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-		if levels, err = huffman.DecodeInts2Tx(pr, levelsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-	} else {
-		if bins, err = huffman.DecodeIntsTx(pr, binsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-		if levels, err = huffman.DecodeIntsTx(pr, levelsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
+	if bins, err = sc.huff.DecodeInts(pr, lanes, sc.bins, tx); err != nil {
+		return nil, nil, nil, corrupt(err)
 	}
+	sc.bins = bins
+	if levels, err = sc.huff.DecodeInts(pr, lanes, sc.levels, tx); err != nil {
+		return nil, nil, nil, corrupt(err)
+	}
+	sc.levels = levels
 	hsw.Stop()
-	if sc != nil {
-		sc.bins, sc.levels = bins, levels
-	}
 	if outliers, err = pr.ReadSection(); err != nil {
 		return nil, nil, nil, corrupt(err)
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -81,4 +84,49 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestForgedGeometryDefersAllocation: a single-shard block whose header
+// claims a huge geometry over a small payload fails with ErrCorrupt on an
+// unbudgeted decoder without materializing the claimed output matrix —
+// repeated decodes of such blocks (as a fuzz corpus replays them) must not
+// touch gigabytes of memory.
+func TestForgedGeometryDefersAllocation(t *testing.T) {
+	enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: VQ, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := enc.EncodeBatch(crystalBatch(4, 30, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk[4] != formatVer1 {
+		t.Fatalf("block version %d, want %d", blk[4], formatVer1)
+	}
+	// magic, version, method, sequence, firstPred, eb; then uvarint scale,
+	// bs and n, which the forgery replaces with a 2^32-value claim.
+	p := 16
+	forged := append([]byte(nil), blk[:p]...)
+	scale, k := binary.Uvarint(blk[p:])
+	p += k
+	for i := 0; i < 2; i++ {
+		_, k = binary.Uvarint(blk[p:])
+		p += k
+	}
+	forged = binary.AppendUvarint(forged, scale)
+	forged = binary.AppendUvarint(forged, 1<<16)
+	forged = binary.AppendUvarint(forged, 1<<16)
+	forged = append(forged, blk[p:]...)
+
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 3; i++ {
+		if _, err := NewDecoder(Params{}).DecodeBatch(forged); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("forged geometry: err = %v, want ErrCorrupt", err)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("three rejected decodes allocated %d MiB", grew>>20)
+	}
 }

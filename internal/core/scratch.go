@@ -25,9 +25,11 @@ var encScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // decodeScratch mirrors encodeScratch for the decode path. The snapshot
 // rows themselves are returned to the caller and therefore always freshly
-// allocated; only the transient symbol streams are pooled.
+// allocated; only the transient symbol streams and the Huffman section
+// reader, whose code tables rebuild in place, are pooled.
 type decodeScratch struct {
 	bins, levels []int
+	huff         huffman.DecodeScratch
 }
 
 var decScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}

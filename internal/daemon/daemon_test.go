@@ -296,7 +296,12 @@ func TestDaemonRangedRead(t *testing.T) {
 	_, tc := newTestEnv(t, Options{})
 	traj := makeTraj(15, 80, 3)
 	id := tc.create(`{"error_bound":1e-3,"buffer_size":3}`)
-	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj), http.StatusAccepted)
+	// sync=1 returns once the pump has committed the frames, so the reads
+	// below cannot race the ingest queue.
+	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames?sync=1", encodeWireFrames(t, traj), http.StatusOK)
+	if c := tc.sessionInfo(id).CommittedFrames; c != 15 {
+		t.Fatalf("committed_frames = %d after a sync ingest, want 15", c)
+	}
 
 	// Live session: 15 frames in blocks of 3 are all flushed; the stream
 	// has no trailer yet, which a ranged read must tolerate.
@@ -326,6 +331,70 @@ func TestDaemonRangedRead(t *testing.T) {
 	}
 	if string(part) != "MDZ2" {
 		t.Fatalf("container magic = %q", part)
+	}
+}
+
+// TestDaemonSyncIngest pins read-your-writes through ?sync=1: after each
+// synced ingest every committed frame that fills a block is readable, and
+// the tail of a block still below BufferSize stays invisible until close.
+func TestDaemonSyncIngest(t *testing.T) {
+	_, tc := newTestEnv(t, Options{})
+	traj := makeTraj(10, 40, 5)
+	id := tc.create(`{"error_bound":1e-3,"buffer_size":4}`)
+	for _, step := range []struct{ upTo, visible int }{{4, 4}, {6, 4}, {9, 8}, {10, 8}} {
+		prev := int(tc.sessionInfo(id).CommittedFrames)
+		tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames?sync=1", encodeWireFrames(t, traj[prev:step.upTo]), http.StatusOK)
+		if c := tc.sessionInfo(id).CommittedFrames; c != int64(step.upTo) {
+			t.Fatalf("committed_frames = %d, want %d", c, step.upTo)
+		}
+		got := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames", nil, http.StatusOK))
+		if len(got) != step.visible {
+			t.Fatalf("after %d committed frames a live read returned %d, want %d", step.upTo, len(got), step.visible)
+		}
+	}
+	tc.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
+	if got := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames", nil, http.StatusOK)); len(got) != len(traj) {
+		t.Fatalf("closed read returned %d frames, want %d", len(got), len(traj))
+	}
+	// A closed session refuses frames, synced or not.
+	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames?sync=1", encodeWireFrames(t, traj[:1]), http.StatusConflict)
+
+	// Concurrent synced ingests each return once their own frames are
+	// committed, and ones racing a close end in 200 or 409, never hang.
+	id = tc.create(`{"error_bound":1e-3,"buffer_size":2}`)
+	body := encodeWireFrames(t, traj[:2])
+	var wg sync.WaitGroup
+	statuses := make([]int, 8)
+	for g := range statuses {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := tc.c.Post(tc.base+"/v1/sessions/"+id+"/frames?sync=1", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			statuses[g] = resp.StatusCode
+		}()
+		if g == len(statuses)/2 {
+			tc.do(http.MethodGet, "/v1/sessions/"+id, nil, http.StatusOK)
+		}
+	}
+	tc.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
+	wg.Wait()
+	ok := 0
+	for _, st := range statuses {
+		switch st {
+		case http.StatusOK:
+			ok++
+		case http.StatusConflict:
+		default:
+			t.Fatalf("synced ingest racing close: status %d", st)
+		}
+	}
+	if in := tc.sessionInfo(id); in.CommittedFrames != in.Frames || in.Frames != int64(2*ok) {
+		t.Fatalf("after close: %d accepted, %d committed, %d synced requests succeeded", in.Frames, in.CommittedFrames, ok)
 	}
 }
 

@@ -276,7 +276,18 @@ func (srv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	srv.tenantCounter(s.tenant, "frames_in").Add(int64(accepted))
 	srv.tenantCounter(s.tenant, "bytes_in").Add(acceptedBytes)
 	srv.tel.memUsed.Set(srv.mem.Used())
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": accepted})
+	if r.URL.Query().Get("sync") != "1" {
+		writeJSON(w, http.StatusAccepted, map[string]int{"accepted": accepted})
+		return
+	}
+	// ?sync=1: answer only once this request's frames are committed, so
+	// a read issued after the response sees every one of them that fills
+	// a block.
+	if err := s.sync(r.Context()); err != nil {
+		srv.httpError(w, fmt.Errorf("after %d accepted frames: %w", accepted, err))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]int64{"accepted": int64(accepted), "committed_frames": s.describe().CommittedFrames})
 }
 
 func (srv *Server) handleClose(w http.ResponseWriter, r *http.Request) {

@@ -27,10 +27,14 @@ const (
 // snapshots, together with its memory accounting: tx holds the global
 // budget reservation for the raw bytes, size the amount charged against
 // the per-session cap. The pump releases both once the batch is written.
+// A batch with a non-nil barrier carries no frames: the pump closes the
+// channel when it reaches it, i.e. once every batch queued before it has
+// been committed.
 type ingestBatch struct {
-	frames []mdz.Frame
-	tx     *budget.Tx
-	size   int64
+	frames  []mdz.Frame
+	tx      *budget.Tx
+	size    int64
+	barrier chan struct{}
 }
 
 // session is one tenant-owned compression stream: a stateful Writer whose
@@ -62,6 +66,12 @@ type session struct {
 	reserved int64 // bytes charged against the per-session cap
 	enq      sync.WaitGroup
 	lastUsed time.Time
+
+	// committed counts the accepted snapshots the pump has written to the
+	// Writer and flushed (guarded by mu). Those of a block still below
+	// BufferSize wait in the Writer and reach the container with the next
+	// full block or at close.
+	committed int64
 
 	// containerTx holds the global-budget reservation for the retained
 	// container bytes; it lives until destroy.
@@ -166,11 +176,16 @@ func (s *session) enqueue(frames []mdz.Frame) error {
 func (s *session) pump() {
 	defer close(s.done)
 	for b := range s.ingest {
-		var raw int64
+		if b.barrier != nil {
+			close(b.barrier)
+			continue
+		}
+		var raw, committed int64
 		if s.failed() == nil {
 			if err := s.writeBatch(b.frames); err != nil {
 				s.fail(err)
 			} else {
+				committed = int64(len(b.frames))
 				for _, f := range b.frames {
 					raw += int64(f.N()) * 3 * 8
 				}
@@ -180,7 +195,50 @@ func (s *session) pump() {
 		s.mu.Lock()
 		s.reserved -= b.size
 		s.rawBytes += raw
+		s.committed += committed
 		s.mu.Unlock()
+	}
+}
+
+// sync returns once the pump has committed every batch accepted before the
+// call, with the session's sticky error if the stream failed. ctx bounds
+// the wait (the requesting client may go away).
+func (s *session) sync(ctx context.Context) error {
+	s.mu.Lock()
+	if s.state != stateActive {
+		// Ingest is stopping: stopIngest drains the queue, and the pump
+		// exits only after committing everything accepted.
+		s.mu.Unlock()
+		select {
+		case <-s.done:
+			return s.failed()
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	// Same registration as enqueue, so stopIngest cannot close the queue
+	// under the send.
+	s.enq.Add(1)
+	s.mu.Unlock()
+	barrier := make(chan struct{})
+	select {
+	case s.ingest <- ingestBatch{barrier: barrier}:
+		s.enq.Done()
+	case <-s.ctx.Done():
+		s.enq.Done()
+		if err := s.failed(); err != nil {
+			return err
+		}
+		return context.Cause(s.ctx)
+	case <-ctx.Done():
+		s.enq.Done()
+		return ctx.Err()
+	}
+	select {
+	case <-barrier:
+		return s.failed()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -282,15 +340,16 @@ func (s *session) snapshot() (data []byte, closed bool, err error) {
 
 // info is the session document served by the listing and detail endpoints.
 type info struct {
-	ID             string  `json:"id"`
-	Tenant         string  `json:"tenant"`
-	State          string  `json:"state"`
-	Frames         int64   `json:"frames"`
-	ContainerBytes int     `json:"container_bytes"`
-	RawBytes       int64   `json:"raw_bytes"`
-	CompBytes      int64   `json:"compressed_bytes"`
-	Error          string  `json:"error,omitempty"`
-	IdleSeconds    float64 `json:"idle_seconds"`
+	ID              string  `json:"id"`
+	Tenant          string  `json:"tenant"`
+	State           string  `json:"state"`
+	Frames          int64   `json:"frames"`
+	CommittedFrames int64   `json:"committed_frames"`
+	ContainerBytes  int     `json:"container_bytes"`
+	RawBytes        int64   `json:"raw_bytes"`
+	CompBytes       int64   `json:"compressed_bytes"`
+	Error           string  `json:"error,omitempty"`
+	IdleSeconds     float64 `json:"idle_seconds"`
 }
 
 func (s *session) describe() info {
@@ -298,10 +357,11 @@ func (s *session) describe() info {
 	defer s.mu.Unlock()
 	in := info{
 		ID: s.id, Tenant: s.tenant, State: s.state, Frames: s.frames,
-		ContainerBytes: s.buf.Len(),
-		RawBytes:       s.rawBytes,
-		CompBytes:      int64(s.buf.Len()),
-		IdleSeconds:    time.Since(s.lastUsed).Seconds(),
+		CommittedFrames: s.committed,
+		ContainerBytes:  s.buf.Len(),
+		RawBytes:        s.rawBytes,
+		CompBytes:       int64(s.buf.Len()),
+		IdleSeconds:     time.Since(s.lastUsed).Seconds(),
 	}
 	if s.err != nil {
 		in.Error = s.err.Error()

@@ -199,6 +199,9 @@ func (srv *Server) restore(path string) (int, error) {
 		}
 		s.mu.Lock()
 		s.frames = meta.Frames
+		// Only sessions whose pump drained cleanly are persisted, so every
+		// accepted snapshot was committed.
+		s.committed = meta.Frames
 		s.rawBytes = meta.RawBytes
 		if meta.State == stateClosed {
 			s.state = stateClosed

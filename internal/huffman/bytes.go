@@ -9,11 +9,11 @@ import (
 )
 
 // This file holds the byte-oriented fast paths over the canonical codec:
-// EncodeBytes/DecodeBytes produce and consume exactly the same wire bytes as
-// EncodeInts/DecodeInts over the widened []int data, but operate on []byte
-// end to end with pooled scratch state, so the dictionary-coder hot path
-// (internal/lossless.LZ) never round-trips its sections through an 8×-larger
-// integer slice.
+// EncodeBytes and the byte decode loop produce and consume exactly the same
+// wire bytes as EncodeInts and the int loop over the widened []int data, but
+// operate on []byte end to end with pooled scratch state, so the
+// dictionary-coder hot path (internal/lossless.LZ) never round-trips its
+// sections through an 8×-larger integer slice.
 //
 // Byte-for-byte identity with the generic path is load-bearing (the LZ wire
 // format is pinned by golden hashes) and rests on three facts, each checked
@@ -293,131 +293,14 @@ func (s *byteEncScratch) buildCodes(nsym int) error {
 	return nil
 }
 
-// DecodeScratch holds the reusable state of byte-section decoding: a pooled
-// Decoder whose tables rebuild in place, plus parse and reader scratch. A
-// DecodeScratch must not be used concurrently, and a Decoder obtained
-// through it is only valid until the scratch's next use. The zero value is
-// ready to use.
-type DecodeScratch struct {
-	dec     Decoder
-	lengths map[int]uint8
-	list    []symLen
-	sorted  []symLen
-	ext     []uint8
-	r       bitstream.Reader
-	r2      bitstream.Reader // second lane of the dual-stream (v3) payload
-	br      bitstream.ByteReader
-}
-
-// ReadTable parses a serialized code table (AppendTable's layout) and
-// returns a Decoder backed by the scratch's reusable tables.
-//
-// Tables our encoders write list symbols strictly ascending, so the common
-// path skips the symbol→length map entirely: parsed pairs go through a
-// stable counting sort by code length, which lands them in exactly the
-// (length, symbol) order the map path sorts into. Non-ascending tables
-// (only reachable from corrupt or adversarial streams) fall back to the
-// map to keep its last-entry-wins semantics.
-func (s *DecodeScratch) ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	list := s.list[:0]
-	prev := int64(0)
-	ascending := true
-	for i := uint64(0); i < n; i++ {
-		d, err := br.ReadVarint()
-		if err != nil {
-			return nil, err
-		}
-		if d <= 0 && i > 0 {
-			ascending = false
-		}
-		prev += d
-		l, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > MaxCodeLen {
-			return nil, ErrCorrupt
-		}
-		list = append(list, symLen{int(prev), l})
-	}
-	s.list = list
-	if !ascending {
-		if s.lengths == nil {
-			s.lengths = make(map[int]uint8, 64)
-		} else {
-			clear(s.lengths)
-		}
-		for _, it := range list {
-			s.lengths[it.sym] = it.l
-		}
-		if err := s.dec.init(s.lengths, s); err != nil {
-			return nil, err
-		}
-		return &s.dec, nil
-	}
-	// Stable counting sort by length; symbols stay ascending within each
-	// length, so the result is the canonical (length, symbol) order.
-	var pos [MaxCodeLen + 1]int32
-	for _, it := range list {
-		pos[it.l]++
-	}
-	off := int32(0)
-	for l := 1; l <= MaxCodeLen; l++ {
-		c := pos[l]
-		pos[l] = off
-		off += c
-	}
-	sorted := s.sorted
-	if cap(sorted) < len(list) {
-		sorted = make([]symLen, len(list))
-		s.sorted = sorted
-	} else {
-		sorted = sorted[:len(list)]
-	}
-	for _, it := range list {
-		sorted[pos[it.l]] = it
-		pos[it.l]++
-	}
-	if err := s.dec.initSorted(sorted, s); err != nil {
-		return nil, err
-	}
-	return &s.dec, nil
-}
-
-// DecodeBytes inverts EncodeBytes, consuming one section from br into buf
-// (reused when it has capacity). It accepts exactly the streams for which
-// DecodeInts succeeds with all symbols in 0..255, and fails with the same
-// error sequencing: stream/table errors surface first, and ErrByteRange is
-// returned only when the symbol stream itself decoded cleanly.
-func (s *DecodeScratch) DecodeBytes(br *bitstream.ByteReader, buf []byte) ([]byte, error) {
-	return s.DecodeBytesTx(br, buf, nil)
-}
-
-// DecodeAllBytesBuf reads exactly n symbols as bytes, reusing buf when it
-// has capacity. It is DecodeAllBuf with a byte destination: symbols outside
-// 0..255 poison the result, and the poisoning ErrByteRange is reported only
-// after all n symbols decode — so stream errors (ErrShortStream/ErrCorrupt)
-// take precedence exactly as in the historical decode-then-narrow path.
-func (d *Decoder) DecodeAllBytesBuf(r *bitstream.Reader, n int, buf []byte) ([]byte, error) {
-	var out []byte
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]byte, n)
-	}
-	if n == 0 {
-		return out, nil
-	}
-	if len(d.symbols) == 0 {
-		return nil, ErrCorrupt
-	}
+// decodeBytes fills out with exactly len(out) symbols from r, the
+// single-lane byte loop. It is decodeInto with a byte destination: symbols
+// outside 0..255 poison the result, and the poisoning ErrByteRange is
+// reported only after all symbols decode — so stream errors
+// (ErrShortStream/ErrCorrupt) take precedence exactly as in the historical
+// decode-then-narrow path.
+func (d *Decoder) decodeBytes(r *bitstream.Reader, out []byte) error {
+	n := len(out)
 	need := uint(lutBits)
 	if m := uint(d.maxLen); m > need {
 		need = m
@@ -459,7 +342,7 @@ outer:
 			r.SetBitState(cur, nbit)
 			sym, err := d.Decode(r)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if uint(sym) > 255 {
 				wideAcc = 1
@@ -473,7 +356,7 @@ outer:
 	for ; i < n; i++ {
 		sym, err := d.Decode(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if uint(sym) > 255 {
 			wideAcc = 1
@@ -481,14 +364,7 @@ outer:
 		out[i] = byte(sym)
 	}
 	if wideAcc != 0 {
-		return nil, ErrByteRange
+		return ErrByteRange
 	}
-	return out, nil
-}
-
-// DecodeBytes is the convenience form of DecodeScratch.DecodeBytes with
-// fresh state.
-func DecodeBytes(br *bitstream.ByteReader) ([]byte, error) {
-	var s DecodeScratch
-	return s.DecodeBytes(br, nil)
+	return nil
 }

@@ -84,21 +84,21 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), buf[:0])
+		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), 1, buf[:0], nil)
 		if err != nil {
 			t.Fatalf("case %d: scratch DecodeBytes: %v", ci, err)
 		}
 		if !bytes.Equal(buf, data) {
 			t.Errorf("case %d: scratch decode mismatch", ci)
 		}
-		out, err := DecodeBytes(bitstream.NewByteReader(enc))
+		out, err := decodeBytes(bitstream.NewByteReader(enc), 1)
 		if err != nil {
 			t.Fatalf("case %d: DecodeBytes: %v", ci, err)
 		}
 		if !bytes.Equal(out, data) {
 			t.Errorf("case %d: DecodeBytes mismatch", ci)
 		}
-		ints, err := DecodeInts(bitstream.NewByteReader(enc))
+		ints, err := decodeInts(bitstream.NewByteReader(enc), 1)
 		if err != nil {
 			t.Fatalf("case %d: DecodeInts: %v", ci, err)
 		}
@@ -122,14 +122,14 @@ func TestDecodeBytesWideSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeInts(bitstream.NewByteReader(enc)); err != nil {
+	if _, err := decodeInts(bitstream.NewByteReader(enc), 1); err != nil {
 		t.Fatalf("DecodeInts: %v", err)
 	}
 	var s DecodeScratch
-	if _, err := s.DecodeBytes(bitstream.NewByteReader(enc), nil); err != ErrByteRange {
+	if _, err := s.DecodeBytes(bitstream.NewByteReader(enc), 1, nil, nil); err != ErrByteRange {
 		t.Errorf("scratch DecodeBytes: err = %v, want ErrByteRange", err)
 	}
-	if _, err := DecodeBytes(bitstream.NewByteReader(enc)); err != ErrByteRange {
+	if _, err := decodeBytes(bitstream.NewByteReader(enc), 1); err != ErrByteRange {
 		t.Errorf("DecodeBytes: err = %v, want ErrByteRange", err)
 	}
 }
@@ -169,12 +169,12 @@ func TestReadTableNonAscendingFallback(t *testing.T) {
 				table = appendTableEntry(table, p.sym-prev, p.l)
 				prev = p.sym
 			}
-			want, err := ReadTable(bitstream.NewByteReader(table))
+			want, err := refReadTable(bitstream.NewByteReader(table))
 			if err != nil {
 				t.Fatalf("ReadTable: %v", err)
 			}
 			var s DecodeScratch
-			got, err := s.ReadTable(bitstream.NewByteReader(table))
+			got, err := s.readTable(bitstream.NewByteReader(table), nil)
 			if err != nil {
 				t.Fatalf("scratch ReadTable: %v", err)
 			}
@@ -219,7 +219,7 @@ func FuzzEncodeBytesEquivalence(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encodings differ for %d input bytes", len(data))
 		}
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(got), buf[:0])
+		buf, err = s.DecodeBytes(bitstream.NewByteReader(got), 1, buf[:0], nil)
 		if err != nil {
 			t.Fatalf("DecodeBytes: %v", err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkDecodeBytes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), buf[:0])
+		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), 1, buf[:0], nil)
 		if err != nil {
 			b.Fatal(err)
 		}

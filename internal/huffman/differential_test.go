@@ -34,7 +34,7 @@ func refDecode(d *Decoder, r *bitstream.Reader) (int, error) {
 
 // runDecodeDifferential decodes up to n symbols from payload three ways —
 // per-symbol table-driven Decode, per-symbol tree walk, and the batched
-// DecodeAllBuf fast loop — and fails on any divergence in symbols, errors,
+// decodeAll fast loop — and fails on any divergence in symbols, errors,
 // or reader positions.
 func runDecodeDifferential(t *testing.T, d *Decoder, payload []byte, n int) {
 	t.Helper()
@@ -60,19 +60,19 @@ func runDecodeDifferential(t *testing.T, d *Decoder, payload []byte, n int) {
 		}
 		syms = append(syms, sNew)
 	}
-	got, err := d.DecodeAllBuf(bitstream.NewReader(payload), n, nil)
+	got, err := decodeAll(d, bitstream.NewReader(payload), n)
 	if refErr != nil {
 		if !errors.Is(err, refErr) {
-			t.Fatalf("DecodeAllBuf err %v, walk err %v", err, refErr)
+			t.Fatalf("decodeAll err %v, walk err %v", err, refErr)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("DecodeAllBuf err %v, walk decoded %d cleanly", err, n)
+		t.Fatalf("decodeAll err %v, walk decoded %d cleanly", err, n)
 	}
 	for i := range got {
 		if got[i] != syms[i] {
-			t.Fatalf("DecodeAllBuf symbol %d: %d vs %d", i, got[i], syms[i])
+			t.Fatalf("decodeAll symbol %d: %d vs %d", i, got[i], syms[i])
 		}
 	}
 }
@@ -96,7 +96,7 @@ func buildRandomDecoder(rng *rand.Rand) *Decoder {
 		for i, s := range enc.symbols {
 			lengths[s] = enc.lengths[i]
 		}
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengths)
 		if err != nil {
 			panic(err)
 		}
@@ -110,7 +110,7 @@ func buildRandomDecoder(rng *rand.Rand) *Decoder {
 		lengths[s] = l
 		l += uint8(1 + rng.Intn(4))
 	}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		panic(err)
 	}
@@ -149,7 +149,7 @@ func TestDecodeLongCodesTwoLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDecodeLongCodesTwoLevel(t *testing.T) {
 	// the slow path inside the fast loop. Encode by hand from the canonical
 	// assignment.
 	lengths := map[int]uint8{0: 1, 1: 58}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDecodeLongCodesTwoLevel(t *testing.T) {
 	w.WriteBits(0, 1)
 	w.WriteBits(1<<57, 58)
 	w.WriteBits(0, 1)
-	out, err := d.DecodeAllBuf(bitstream.NewReader(w.Bytes()), 3, nil)
+	out, err := decodeAll(d, bitstream.NewReader(w.Bytes()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSubtableBudgetBounded(t *testing.T) {
 		lengths[s] = 23
 		s++
 	}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSubtableBudgetBounded(t *testing.T) {
 	if err := enc.EncodeAll(w, syms); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DecodeAllBuf(bitstream.NewReader(w.Bytes()), len(syms), nil)
+	got, err := decodeAll(d, bitstream.NewReader(w.Bytes()), len(syms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func FuzzDecodeDifferential(f *testing.F) {
 		for i, b := range tbl {
 			lengths[i] = b%MaxCodeLen + 1
 		}
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengths)
 		if err != nil {
 			t.Skip() // oversubscribed random table
 		}

@@ -279,17 +279,6 @@ outer:
 	return d.decodeInto(r1, out[i1:lim1])
 }
 
-// DecodeInts2Buf inverts EncodeInts2, consuming from br into buf (reused
-// when it has capacity).
-func DecodeInts2Buf(br *bitstream.ByteReader, buf []int) ([]int, error) {
-	return DecodeInts2Tx(br, buf, nil)
-}
-
-// DecodeInts2 is the convenience form of DecodeInts2Buf.
-func DecodeInts2(br *bitstream.ByteReader) ([]int, error) {
-	return DecodeInts2Buf(br, nil)
-}
-
 // EncodeBytes2 is the dual-stream (format v3) counterpart of EncodeBytes:
 // same code table, payload split into two independently packed lanes.
 func EncodeBytes2(dst []byte, data []byte) ([]byte, error) {
@@ -347,7 +336,7 @@ func EncodeBytes2(dst []byte, data []byte) ([]byte, error) {
 }
 
 // decodeDualBytes is decodeDual with a byte destination and the byte-range
-// poisoning semantics of DecodeAllBytesBuf: stream errors surface
+// poisoning semantics of decodeBytes: stream errors surface
 // immediately, ErrByteRange only after all symbols decode.
 func (d *Decoder) decodeDualBytes(r0, r1 *bitstream.Reader, out []byte, h int) error {
 	need := uint(lutBits)
@@ -447,10 +436,4 @@ outer:
 		return ErrByteRange
 	}
 	return nil
-}
-
-// DecodeBytes2 inverts EncodeBytes2, consuming one dual-lane section from br
-// into buf (reused when it has capacity).
-func (s *DecodeScratch) DecodeBytes2(br *bitstream.ByteReader, buf []byte) ([]byte, error) {
-	return s.DecodeBytes2Tx(br, buf, nil)
 }

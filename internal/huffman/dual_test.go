@@ -15,7 +15,7 @@ func roundTripInts2(t *testing.T, s *Scratch, syms []int) {
 	if err != nil {
 		t.Fatalf("EncodeInts2: %v", err)
 	}
-	got, err := DecodeInts2(bitstream.NewByteReader(enc))
+	got, err := decodeInts(bitstream.NewByteReader(enc), 2)
 	if err != nil {
 		t.Fatalf("DecodeInts2: %v", err)
 	}
@@ -140,15 +140,15 @@ func TestDualLanesMatchSingleStream(t *testing.T) {
 		}
 
 		// Each lane must decode standalone with the v2 decoder.
-		dec, err := ReadTable(bitstream.NewByteReader(table))
+		dec, err := new(DecodeScratch).readTable(bitstream.NewByteReader(table), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l0, err := dec.DecodeAllBuf(bitstream.NewReader(p0), h, nil)
+		l0, err := decodeAll(dec, bitstream.NewReader(p0), h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l1, err := dec.DecodeAllBuf(bitstream.NewReader(p1), n-h, nil)
+		l1, err := decodeAll(dec, bitstream.NewReader(p1), n-h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestDualBytesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ds.DecodeBytes2(bitstream.NewByteReader(enc), buf)
+		got, err := ds.DecodeBytes(bitstream.NewByteReader(enc), 2, buf, nil)
 		if err != nil {
 			t.Fatalf("trial %d: DecodeBytes2: %v", trial, err)
 		}
@@ -235,7 +235,7 @@ func TestDualBytesMatchesInts(t *testing.T) {
 			t.Fatalf("trial %d: EncodeBytes2 and EncodeInts2 wire bytes differ", trial)
 		}
 		// The generic decoder must also accept the byte-path stream.
-		vals, err := DecodeInts2(bitstream.NewByteReader(fromBytes))
+		vals, err := decodeInts(bitstream.NewByteReader(fromBytes), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestDualBytesMatchesInts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.DecodeBytes2(bitstream.NewByteReader(enc), nil); !errors.Is(err, ErrByteRange) {
+	if _, err := ds.DecodeBytes(bitstream.NewByteReader(enc), 2, nil, nil); !errors.Is(err, ErrByteRange) {
 		t.Fatalf("want ErrByteRange, got %v", err)
 	}
 }
@@ -271,11 +271,11 @@ func TestDualDecodeCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := DecodeInts2(bitstream.NewByteReader(enc[:cut])); err == nil {
+		if _, err := decodeInts(bitstream.NewByteReader(enc[:cut]), 2); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 		var ds DecodeScratch
-		if _, err := ds.DecodeBytes2(bitstream.NewByteReader(enc[:cut]), nil); err == nil {
+		if _, err := ds.DecodeBytes(bitstream.NewByteReader(enc[:cut]), 2, nil, nil); err == nil {
 			t.Fatalf("byte truncation at %d decoded successfully", cut)
 		}
 	}
@@ -295,7 +295,7 @@ func FuzzDualRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		var ds DecodeScratch
-		gotB, err := ds.DecodeBytes2(bitstream.NewByteReader(encB), nil)
+		gotB, err := ds.DecodeBytes(bitstream.NewByteReader(encB), 2, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func FuzzDualRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2, err := DecodeInts2(bitstream.NewByteReader(enc2))
+		got2, err := decodeInts(bitstream.NewByteReader(enc2), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func FuzzDualRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got1, err := DecodeInts(bitstream.NewByteReader(enc1))
+		got1, err := decodeInts(bitstream.NewByteReader(enc1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

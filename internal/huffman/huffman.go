@@ -6,9 +6,16 @@
 // The code table is serialized compactly as (symbol, code length) pairs and
 // rebuilt canonically on decode, so encoder and decoder never need to share
 // the tree itself.
+//
+// Decoding has a single section reader, DecodeScratch (section.go): its
+// DecodeInts and DecodeBytes methods parse the table, the symbol count and
+// one (formats v1/v2) or two (v3) payload lanes under one set of
+// forged-length guards, rebuild the code into pooled tables, and charge
+// claimed sizes to an optional budget transaction.
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -548,45 +555,6 @@ type Decoder struct {
 	pair []pairEnt
 }
 
-// ReadTable parses a table serialized by AppendTable from br and returns the
-// Decoder.
-func ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	lengths := make(map[int]uint8, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := br.ReadVarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += d
-		l, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > MaxCodeLen {
-			return nil, ErrCorrupt
-		}
-		lengths[int(prev)] = l
-	}
-	return NewDecoder(lengths)
-}
-
-// NewDecoder builds a Decoder directly from a symbol→length map.
-func NewDecoder(lengths map[int]uint8) (*Decoder, error) {
-	d := &Decoder{}
-	if err := d.init(lengths, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // symLen is a (symbol, code length) pair, the unit of canonical table
 // construction.
 type symLen struct {
@@ -594,29 +562,24 @@ type symLen struct {
 	l   uint8
 }
 
-// init (re)builds the decoder from a symbol→length map. When sc is non-nil
-// its scratch buffers are reused, so a pooled Decoder rebuilds with no
-// steady-state allocations; the resulting tables are identical either way.
+// init (re)builds the decoder from a symbol→length map, the fallback for
+// tables that do not list their symbols strictly ascending. sc's buffers
+// are reused, so a pooled Decoder rebuilds with no steady-state
+// allocations.
 func (d *Decoder) init(lengths map[int]uint8, sc *DecodeScratch) error {
-	var list []symLen
-	if sc != nil {
-		list = sc.list[:0]
-	} else {
-		list = make([]symLen, 0, len(lengths))
-	}
+	list := sc.list[:0]
 	for s, l := range lengths {
 		list = append(list, symLen{s, l})
 	}
-	if sc != nil {
-		sc.list = list
-	}
+	sc.list = list
 	// (l, sym) is a strict total order, so any comparison sort yields the
-	// same sequence the historical sort.Slice produced.
+	// same sequence the historical sort.Slice produced. cmp.Compare, not a
+	// subtraction, keeps symbols far apart from overflowing the comparison.
 	slices.SortFunc(list, func(a, b symLen) int {
 		if a.l != b.l {
 			return int(a.l) - int(b.l)
 		}
-		return a.sym - b.sym
+		return cmp.Compare(a.sym, b.sym)
 	})
 	return d.initSorted(list, sc)
 }
@@ -669,8 +632,8 @@ func (d *Decoder) initSorted(list []symLen, sc *DecodeScratch) error {
 // directly to its symbol. Level two: each prefix shared by longer codes
 // gets a subtable sized for its longest code (capped at subMaxBits and the
 // global maxSubEntries budget); codes past the caps keep len==0 entries and
-// decode via the canonical bitwise walk. A non-nil sc contributes reusable
-// backing arrays for the tables.
+// decode via the canonical bitwise walk. sc contributes the reusable
+// prefix-width scratch.
 func (d *Decoder) buildLUT(sc *DecodeScratch) {
 	if cap(d.lut) >= 1<<lutBits {
 		d.lut = d.lut[:1<<lutBits]
@@ -706,16 +669,11 @@ func (d *Decoder) buildLUT(sc *DecodeScratch) {
 	}
 	// Width (bits beyond the root prefix) each prefix's subtable needs to
 	// cover its longest code.
-	var ext []uint8
-	if sc != nil && cap(sc.ext) >= 1<<lutBits {
-		ext = sc.ext[:1<<lutBits]
-		clear(ext)
-	} else {
-		ext = make([]uint8, 1<<lutBits)
-		if sc != nil {
-			sc.ext = ext
-		}
+	if cap(sc.ext) < 1<<lutBits {
+		sc.ext = make([]uint8, 1<<lutBits)
 	}
+	ext := sc.ext[:1<<lutBits]
+	clear(ext)
 	for l := lutBits + 1; l <= int(d.maxLen); l++ {
 		for k := 0; k < d.count[l]; k++ {
 			code := d.firstCode[l] + uint64(k)
@@ -823,41 +781,17 @@ func (d *Decoder) decodeSlow(r *bitstream.Reader) (int, error) {
 	return 0, ErrCorrupt
 }
 
-// DecodeAll reads exactly n symbols into a new slice.
-func (d *Decoder) DecodeAll(r *bitstream.Reader, n int) ([]int, error) {
-	return d.DecodeAllBuf(r, n, nil)
-}
-
-// DecodeAllBuf reads exactly n symbols, reusing buf when it has capacity.
+// decodeInto fills out with exactly len(out) symbols from r, the
+// single-lane int loop, also used by the dual-lane (v3) decoder to drain
+// each lane's tail.
 //
 // The fast loop keeps the reader's 64-bit buffer topped up with at least
 // maxLen real stream bits, so table lookups need no avail gating and
 // consume via PeekFast/SkipFast with zero per-symbol checks. Near the end
 // of the input (or for pathological tables whose maxLen exceeds the refill
 // guarantee) it falls back to the checked per-symbol Decode, which
-// preserves the historical error semantics exactly.
-func (d *Decoder) DecodeAllBuf(r *bitstream.Reader, n int, buf []int) ([]int, error) {
-	var out []int
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]int, n)
-	}
-	if n == 0 {
-		return out, nil
-	}
-	if len(d.symbols) == 0 {
-		return nil, ErrCorrupt
-	}
-	if err := d.decodeInto(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeInto fills out with exactly len(out) symbols from r; it is the core
-// loop of DecodeAllBuf, shared with the dual-lane (v3) decoder for draining
-// each lane's tail.
+// preserves the historical error semantics exactly. The decoder must hold
+// at least one symbol.
 func (d *Decoder) decodeInto(r *bitstream.Reader, out []int) error {
 	n := len(out)
 	need := uint(lutBits)
@@ -1092,16 +1026,4 @@ func (s *Scratch) buildFor(syms []int) (*Encoder, error) {
 // length-prefixed sections appended to dst.
 func EncodeInts(dst []byte, syms []int) ([]byte, error) {
 	return (*Scratch)(nil).EncodeInts(dst, syms)
-}
-
-// DecodeInts inverts EncodeInts, consuming from br.
-func DecodeInts(br *bitstream.ByteReader) ([]int, error) {
-	return DecodeIntsBuf(br, nil)
-}
-
-// DecodeIntsBuf is DecodeInts with a caller-provided destination buffer:
-// when buf has sufficient capacity the symbols are decoded into it,
-// avoiding a per-call allocation on the decode hot path.
-func DecodeIntsBuf(br *bitstream.ByteReader, buf []int) ([]int, error) {
-	return DecodeIntsTx(br, buf, nil)
 }

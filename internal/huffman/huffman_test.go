@@ -15,7 +15,7 @@ func roundTrip(t *testing.T, syms []int) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf), 1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestRoundTripSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestCorruptTable(t *testing.T) {
 	buf = bitstream.AppendUvarint(buf, 1)
 	buf = bitstream.AppendVarint(buf, 5)
 	buf = append(buf, 0)
-	if _, err := ReadTable(bitstream.NewByteReader(buf)); err == nil {
+	if _, err := new(DecodeScratch).readTable(bitstream.NewByteReader(buf), nil); err == nil {
 		t.Error("expected error on zero code length")
 	}
 }
 
 func TestCorruptOversubscribed(t *testing.T) {
 	// Three symbols of length 1 oversubscribe the code space.
-	_, err := NewDecoder(map[int]uint8{1: 1, 2: 1, 3: 1})
+	_, err := newDecoder(map[int]uint8{1: 1, 2: 1, 3: 1})
 	if err == nil {
 		t.Error("expected error on oversubscribed lengths")
 	}
@@ -157,7 +157,7 @@ func TestTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chop off the tail; decode must error, not hang or panic.
-	_, err = DecodeInts(bitstream.NewByteReader(buf[:len(buf)-5]))
+	_, err = decodeInts(bitstream.NewByteReader(buf[:len(buf)-5]), 1)
 	if err == nil {
 		t.Error("expected error on truncated payload")
 	}
@@ -173,7 +173,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeInts(bitstream.NewByteReader(buf))
+		got, err := decodeInts(bitstream.NewByteReader(buf), 1)
 		if err != nil {
 			return false
 		}
@@ -223,7 +223,7 @@ func BenchmarkDecodeSkewed(b *testing.B) {
 	b.SetBytes(int64(len(syms) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeInts(bitstream.NewByteReader(buf)); err != nil {
+		if _, err := decodeInts(bitstream.NewByteReader(buf), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

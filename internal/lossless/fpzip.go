@@ -63,7 +63,8 @@ func (FPZip) DecompressFloats(src []byte) ([]float64, error) {
 	if n > 1<<32 {
 		return nil, ErrCorrupt
 	}
-	resid, err := huffman.DecodeBytes(br)
+	var hs huffman.DecodeScratch
+	resid, err := hs.DecodeBytes(br, 1, nil, nil)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt

@@ -272,12 +272,11 @@ func (z LZ) appendDecompressTx(dst, src []byte, tx *budget.Tx) ([]byte, error) {
 	if err := tx.Reserve(int64(origSize)); err != nil {
 		return nil, err
 	}
-	var literals, seq []byte
+	lanes := 1
 	if z.V3 {
-		literals, err = st.hs.DecodeBytes2Tx(br, st.literals[:0], tx)
-	} else {
-		literals, err = st.hs.DecodeBytesTx(br, st.literals[:0], tx)
+		lanes = 2
 	}
+	literals, err := st.hs.DecodeBytes(br, lanes, st.literals[:0], tx)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt
@@ -285,11 +284,7 @@ func (z LZ) appendDecompressTx(dst, src []byte, tx *budget.Tx) ([]byte, error) {
 		return nil, err
 	}
 	st.literals = literals
-	if z.V3 {
-		seq, err = st.hs.DecodeBytes2Tx(br, st.seq[:0], tx)
-	} else {
-		seq, err = st.hs.DecodeBytesTx(br, st.seq[:0], tx)
-	}
+	seq, err := st.hs.DecodeBytes(br, lanes, st.seq[:0], tx)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt

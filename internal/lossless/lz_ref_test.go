@@ -140,7 +140,8 @@ func lzRefDecompress(src []byte) ([]byte, error) {
 	if origSize > 1<<34 {
 		return nil, ErrCorrupt
 	}
-	litInts, err := huffman.DecodeInts(br)
+	var hs huffman.DecodeScratch
+	litInts, err := hs.DecodeInts(br, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +149,7 @@ func lzRefDecompress(src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqInts, err := huffman.DecodeInts(br)
+	seqInts, err := hs.DecodeInts(br, 1, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,8 @@ func (ZFP) DecompressFloats(src []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := huffman.DecodeBytes(br)
+	var hs huffman.DecodeScratch
+	body, err := hs.DecodeBytes(br, 1, nil, nil)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt

@@ -73,13 +73,20 @@ func (c *Compressor) scale() int {
 
 const blockMagic = "SZ2B"
 
-// huffScratchPool and decBinsPool recycle Huffman encoder state and decoded
-// bin buffers across calls, keeping per-series table and symbol-buffer
-// allocations off the steady-state path.
+// huffScratchPool and decPool recycle Huffman encoder and decoder state and
+// decoded bin buffers across calls, keeping per-series table and
+// symbol-buffer allocations off the steady-state path.
 var (
 	huffScratchPool = sync.Pool{New: func() any { return new(huffman.Scratch) }}
-	decBinsPool     = sync.Pool{New: func() any { return new([]int) }}
+	decPool         = sync.Pool{New: func() any { return new(decState) }}
 )
+
+// decState is the pooled decode state: the Huffman section reader and the
+// decoded bin buffer.
+type decState struct {
+	hs   huffman.DecodeScratch
+	bins []int
+}
 
 // CompressSeries compresses one axis batch (snapshots × particles) under
 // absolute error bound eb.
@@ -216,13 +223,13 @@ func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
 		return nil, err
 	}
 	pr := bitstream.NewByteReader(payload)
-	bp := decBinsPool.Get().(*[]int)
-	defer decBinsPool.Put(bp)
-	bins, err := huffman.DecodeIntsBuf(pr, *bp)
+	st := decPool.Get().(*decState)
+	defer decPool.Put(st)
+	bins, err := st.hs.DecodeInts(pr, 1, st.bins, nil)
 	if err != nil {
 		return nil, err
 	}
-	*bp = bins
+	st.bins = bins
 	outliers, err := pr.ReadSection()
 	if err != nil {
 		return nil, err

@@ -41,6 +41,17 @@ go test -run '^$' -bench . -benchtime 1x .
 # that reuse.
 go test -race -run '^$' -bench . -benchtime 1x ./internal/bitstream ./internal/huffman
 
+# Daemon read-your-writes under the race detector, ten times over: the
+# ?sync=1 barrier and the committed-frame watermark coordinate HTTP
+# handlers with each session's pump goroutine, and a repeated race run is
+# what catches a reader racing the ingest queue again.
+go test -race -count=10 ./internal/daemon
+
+# Pooled Huffman decode scratch (one section reader per pool worker's
+# chunk, its code tables rebuilt in place for every section) under the
+# race detector, repeated to vary the worker schedules.
+go test -race -count=5 ./internal/huffman ./internal/core
+
 # Daemon smoke: mdzload spawns an in-process mdzd and runs a couple dozen
 # concurrent streaming sessions, byte-comparing every container against a
 # local library run (-verify 1). `make loadtest` is the longer local soak.

@@ -32,6 +32,15 @@ var ErrNotSeekable = errors.New("mdz: source is not seekable")
 // while covering indexes of hundreds of thousands of frames.
 const seekTailWindow = 1 << 20
 
+// seekTailFirst is the first tail window the search reads: the trailer plus
+// the seek frame of a stream of several hundred blocks. The window widens
+// by seekTailGrowth up to seekTailWindow only while no valid seek frame
+// lies wholly inside it.
+const (
+	seekTailFirst  = 8 << 10
+	seekTailGrowth = 8
+)
+
 // Seek positions the Reader so the next ReadFrame returns the snapshot
 // with the given stream-wide index (0-based). It requires the source to be
 // an io.ReadSeeker and the stream to be v2/v3 framed. The frame index is
@@ -300,38 +309,58 @@ func (r *Reader) indexTotalSnaps() (int64, bool) {
 	return seekIndexSnapshots(idx), true
 }
 
-// loadIndexTail reads the stream's tail window and searches backwards for
-// a valid seek-table frame. ok is false — never an error — when no intact
-// table is found; callers fall back to the scan rebuild.
+// loadIndexTail searches the stream's tail backwards for a valid
+// seek-table frame. ok is false — never an error — when no intact table is
+// found; callers fall back to the scan rebuild.
+//
+// The search starts on a small window and widens geometrically up to
+// seekTailWindow, reading only the bytes in front of the previous window.
+// A frame runs from its sync marker to at most the end of the stream, so
+// every candidate inside a window gets the verdict it would get in any
+// wider one; each widening walks only the new candidates, in front of
+// those already rejected. The walk therefore visits candidates in exactly
+// the order of a single seekTailWindow read and returns the same entries,
+// or the same fallback.
 func (r *Reader) loadIndexTail() ([]SeekEntry, bool) {
 	size, err := r.srcSeeker.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, false
 	}
-	start := size - seekTailWindow
-	if start < 0 {
-		start = 0
+	last := min(size, seekTailWindow)
+	var tail []byte
+	for window := min(size, seekTailFirst); ; window = min(window*seekTailGrowth, last) {
+		grown := make([]byte, window)
+		fresh := len(grown) - len(tail)
+		copy(grown[fresh:], tail)
+		if _, err := r.srcSeeker.Seek(size-window, io.SeekStart); err != nil {
+			return nil, false
+		}
+		if _, err := io.ReadFull(r.srcSeeker, grown[:fresh]); err != nil {
+			return nil, false
+		}
+		if entries, ok := findSeekFrame(grown, fresh); ok {
+			return entries, true
+		}
+		if window == last {
+			return nil, false
+		}
+		tail = grown
 	}
-	if _, err := r.srcSeeker.Seek(start, io.SeekStart); err != nil {
-		return nil, false
-	}
-	tail := make([]byte, size-start)
-	if _, err := io.ReadFull(r.srcSeeker, tail); err != nil {
-		return nil, false
-	}
-	// Walk sync-marker candidates from the end; the seek frame sits just
-	// before the trailer, so the first hit that parses as a seek-index
-	// frame is the one.
-	for at := len(tail) - frameHeaderSize; at >= 0; {
+}
+
+// findSeekFrame walks the sync-marker candidates of tail, a suffix of the
+// stream, from the end backwards, considering only markers that start
+// before limit, and returns the entries of the first candidate that
+// validates as a complete seek-table frame. The seek frame sits just before
+// the trailer, so the first hit is the one.
+func findSeekFrame(tail []byte, limit int) ([]SeekEntry, bool) {
+	for at := min(len(tail)-frameHeaderSize, limit-1); at >= 0; {
 		i := bytes.LastIndex(tail[:at+4], frameSync[:])
 		if i < 0 {
 			return nil, false
 		}
 		at = i - 1
 		hdr := tail[i:]
-		if len(hdr) < frameHeaderSize {
-			continue
-		}
 		if hdr[4] != frameSeekIndex {
 			continue
 		}
