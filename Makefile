@@ -50,6 +50,9 @@ bench-read:
 # Short fuzz pass over every differential and parser fuzzer in the tree.
 # CI invokes this with FUZZTIME=10s; the default is a slightly longer local
 # smoke. Each fuzzer runs alone (-fuzz takes one pattern per package run).
+# FuzzV3Differential, FuzzDualRoundTrip and FuzzLZV3RoundTrip fuzz the
+# read-only v3 decoders (block, dual-lane section, v3 LZ) from decodable
+# seeds and check accepted inputs against the v2 decode.
 FUZZTIME ?= 30s
 
 fuzz-short:

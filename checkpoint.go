@@ -36,9 +36,10 @@ type CheckpointState struct {
 	// Axes holds the X, Y, Z axis states.
 	Axes [3]AxisState
 	// Format is the wire-format version of the stream the checkpoint
-	// belongs to (0 or 2 for v2, 3 for v3). It selects the payload
-	// encoding of the checkpoint itself: v3 checkpoints pack their
-	// reference snapshots with the v3 LZ backend.
+	// belongs to: 0 or 2 for v2, 3 for the read-only v3, whose
+	// checkpoints pack their reference snapshots with the v3 LZ backend.
+	// A v3 checkpoint reseeds a Decompressor; it cannot be marshaled or
+	// imported into a Compressor, because nothing writes v3 any more.
 	Format int
 }
 
@@ -49,24 +50,27 @@ const (
 
 // checkpointBackend compresses the reference snapshots inside checkpoint
 // payloads. The reference values are quantized reconstructions, so their
-// byte patterns repeat and LZ shrinks them well. v3 checkpoints use the
+// byte patterns repeat and LZ shrinks them well. v3 checkpoints used the
 // dual-lane v3 backend, matching the rest of the stream.
 var (
 	checkpointBackend   = lossless.LZ{}
 	checkpointBackendV3 = lossless.LZ{V3: true}
 )
 
+// errV3Resume refuses to continue a format-v3 run from its checkpoint.
+var errV3Resume = fmt.Errorf("%w: checkpoint format v3 is read-only; a v3 stream cannot be resumed", ErrStateDesync)
+
 // MarshalBinary encodes the checkpoint into the self-contained payload
-// format carried by checkpoint blocks.
+// format carried by checkpoint blocks. Format 3 checkpoints are read-only
+// and do not marshal.
 func (st *CheckpointState) MarshalBinary() ([]byte, error) {
 	if st.Batch < 0 {
 		return nil, fmt.Errorf("mdz: negative checkpoint batch index %d", st.Batch)
 	}
-	ver, backend := byte(checkpointVersion), checkpointBackend
 	if st.Format == 3 {
-		ver, backend = checkpointVersionV3, checkpointBackendV3
+		return nil, errors.New("mdz: checkpoint format v3 is read-only")
 	}
-	out := []byte{ver}
+	out := []byte{checkpointVersion}
 	out = bitstream.AppendUvarint(out, uint64(st.Batch))
 	for axis := range st.Axes {
 		ax := &st.Axes[axis]
@@ -77,7 +81,7 @@ func (st *CheckpointState) MarshalBinary() ([]byte, error) {
 		out = bitstream.AppendFloat64(out, ax.LevelOrigin)
 		out = append(out, byte(ax.Method))
 		refBytes := bitstream.AppendFloat64s(nil, ax.Ref)
-		packed, err := backend.Compress(refBytes)
+		packed, err := checkpointBackend.Compress(refBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +324,7 @@ func (st *WriterState) UnmarshalBinary(data []byte) error {
 // one compressed batch; it is what Writer embeds in checkpoint blocks. The
 // returned state shares nothing with the compressor.
 func (c *Compressor) ExportState() (*CheckpointState, error) {
-	st := &CheckpointState{Format: c.cfg.FormatVersion}
+	st := &CheckpointState{}
 	for axis, e := range c.enc {
 		if e == nil {
 			return nil, errors.New("mdz: ExportState before the first batch")
@@ -345,8 +349,12 @@ func (c *Compressor) ExportState() (*CheckpointState, error) {
 // mid-stream: the next CompressBatch produces bytes identical to what the
 // original compressor would have emitted. The error-bound and scale come
 // from the state (they were resolved from the first batch of the original
-// run), so Config.Mode is not re-applied.
+// run), so Config.Mode is not re-applied. A format v3 checkpoint is
+// refused with ErrStateDesync.
 func (c *Compressor) ImportState(st *CheckpointState) error {
+	if st.Format == 3 {
+		return errV3Resume
+	}
 	for axis := range c.enc {
 		if c.enc[axis] != nil {
 			return fmt.Errorf("%w: ImportState on a used compressor", ErrStateDesync)
@@ -363,7 +371,6 @@ func (c *Compressor) ImportState(st *CheckpointState) error {
 			ADPRetrialInterval: c.cfg.ADPRetrialInterval,
 			KMeans:             kmeans.Options{Seed: int64(axis) + 1},
 			Shards:             c.cfg.Shards,
-			FormatVersion:      c.cfg.FormatVersion,
 			Pool:               c.pool,
 		})
 		if err != nil {

@@ -9,10 +9,9 @@ import (
 
 // runEntropy runs the entropy-stage benchmark, prints the human-readable
 // table, and optionally writes the JSON report and/or diffs the run against
-// a previously committed report. formats picks the wire-format versions to
-// measure (empty = both v2 and v3).
-func runEntropy(jsonPath, comparePath string, cfg bench.Config, formats ...int) error {
-	rep, err := bench.RunEntropy(cfg, formats...)
+// a previously committed report.
+func runEntropy(jsonPath, comparePath string, cfg bench.Config) error {
+	rep, err := bench.RunEntropy(cfg)
 	if err != nil {
 		return err
 	}

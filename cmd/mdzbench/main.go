@@ -54,7 +54,6 @@ func main() {
 	readBench := flag.Bool("read", false, "run the fast-read-path benchmark (ranged access + pipeline x workers grid)")
 	jsonPath := flag.String("json", "", "with -entropy/-scale/-read: write the machine-readable report to this path")
 	compare := flag.String("compare", "", "with -entropy/-scale/-read: diff the run against a committed report")
-	format := flag.String("format", "all", "with -entropy: wire-format versions to measure (v2, v3 or all)")
 	flag.Parse()
 
 	modes := 0
@@ -82,18 +81,7 @@ func main() {
 		return
 	}
 	if *entropy {
-		var formats []int
-		switch *format {
-		case "v2":
-			formats = []int{2}
-		case "v3":
-			formats = []int{3}
-		case "all", "":
-		default:
-			fmt.Fprintf(os.Stderr, "mdzbench: -format must be v2, v3 or all, got %q\n", *format)
-			os.Exit(2)
-		}
-		if err := runEntropy(*jsonPath, *compare, bench.Config{Scale: *scale, Seed: *seed}, formats...); err != nil {
+		if err := runEntropy(*jsonPath, *compare, bench.Config{Scale: *scale, Seed: *seed}); err != nil {
 			fmt.Fprintln(os.Stderr, "mdzbench:", err)
 			os.Exit(1)
 		}

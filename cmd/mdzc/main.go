@@ -6,7 +6,6 @@
 //	mdzc -c traj.xyz  -o traj.mdz            # XYZ text trajectories work too
 //	mdzc -c traj.mdzd -o traj.mdz -eps 1e-4 -bs 50 -method MT
 //	mdzc -c traj.mdzd -o traj.mdz -checkpoint 8  # recoverable framed stream
-//	mdzc -c traj.mdzd -o traj.mdz -format 3  # v3 wire format (dual-lane entropy coding)
 //	mdzc -d traj.mdz -o restored.mdzd        # decompress (or -o restored.xyz)
 //	mdzc -d traj.mdz -o restored.mdzd -salvage   # recover what a corrupt stream still holds
 //	mdzc -d traj.mdz -o window.mdzd -range 100:200   # decode only snapshots [100, 200)
@@ -38,7 +37,7 @@ type cliFlags struct {
 	index                            string
 	out, method                      string
 	eps                              float64
-	bs, checkpoint, format           int
+	bs, checkpoint                   int
 	workers, shards, pipeline        int
 	salvage                          bool
 	seekIndex                        bool
@@ -91,12 +90,6 @@ func validateFlags(f *cliFlags) error {
 	}
 	if f.checkpoint != 0 && f.compress == "" {
 		return fmt.Errorf("-checkpoint only applies to compression; pair it with -c")
-	}
-	if f.format != 0 && f.format != 2 && f.format != 3 {
-		return fmt.Errorf("-format must be 2 or 3, got %d", f.format)
-	}
-	if f.format == 3 && f.compress == "" {
-		return fmt.Errorf("-format only applies to compression (readers auto-detect); pair it with -c")
 	}
 	if f.fsck != "" && f.out != "" {
 		return fmt.Errorf("-fsck verifies in place and writes no output; drop -o")
@@ -157,7 +150,6 @@ func main() {
 	flag.IntVar(&f.bs, "bs", 10, "buffer size (snapshots per batch)")
 	flag.StringVar(&f.method, "method", "ADP", "compression method: ADP, VQ, VQT, MT")
 	flag.IntVar(&f.checkpoint, "checkpoint", 0, "with -c: write a recoverable framed stream with a checkpoint every N blocks (0 = one-shot format)")
-	flag.IntVar(&f.format, "format", 2, "with -c: wire-format version to write (2 = default, 3 = dual-lane entropy coding; not readable by pre-v3 builds)")
 	flag.IntVar(&f.workers, "workers", 0, "goroutines for parallel kernels (0 = GOMAXPROCS, 1 = serial); output bytes never depend on it")
 	flag.IntVar(&f.shards, "shards", 0, "with -c: contiguous particle shards per axis batch (0 = auto); part of the output format, so a fixed value pins output bytes across machines")
 	flag.IntVar(&f.pipeline, "pipeline", 0, "with -c -checkpoint: overlap compressing the next batch with framing and writing the previous; with -d: overlap frame fetch with parallel decode, keeping up to N frames in flight (0 = synchronous; bytes identical either way)")
@@ -219,7 +211,7 @@ func doCompress(f *cliFlags, o *obs) error {
 		frames[i] = mdz.Frame{X: f.X, Y: f.Y, Z: f.Z}
 	}
 	cfg := mdz.Config{
-		ErrorBound: f.eps, Method: m, BufferSize: f.bs, FormatVersion: f.format,
+		ErrorBound: f.eps, Method: m, BufferSize: f.bs,
 		Workers: f.workers, Shards: f.shards, Telemetry: o.enabled(),
 	}
 	var stream []byte

@@ -39,10 +39,6 @@ func TestValidateFlags(t *testing.T) {
 		{"checkpoint without -c", cliFlags{decompress: "in", out: "out", checkpoint: 8}, true},
 		{"fsck with -o", cliFlags{fsck: "in", out: "out"}, true},
 		{"info with -o", cliFlags{info: "in", out: "out"}, true},
-		{"format v3 with -c", cliFlags{compress: "in", out: "out", format: 3}, false},
-		{"format v2 anywhere", cliFlags{decompress: "in", out: "out", format: 2}, false},
-		{"format v3 without -c", cliFlags{decompress: "in", out: "out", format: 3}, true},
-		{"format out of range", cliFlags{compress: "in", out: "out", format: 5}, true},
 		{"no-fsync with -c", cliFlags{compress: "in", out: "out", noFsync: true}, false},
 		{"no-fsync with -d", cliFlags{decompress: "in", out: "out", noFsync: true}, false},
 		{"no-fsync without output", cliFlags{fsck: "in", noFsync: true}, true},
@@ -104,38 +100,37 @@ func writeTestTrajectory(t *testing.T, dir string) string {
 	return path
 }
 
-// TestFormatV3RoundTrip drives -c -format 3 (one-shot and framed) through
-// the CLI paths and decodes the result with the auto-detecting reader.
+// TestFormatV3RoundTrip decodes the committed format-v3 mdzc files (one-shot
+// and framed, written from writeTestTrajectory's input by the retired
+// -format 3) through -d and the auto-detecting reader: every value is
+// within -eps of the input's per-axis range over the first -bs batch.
 func TestFormatV3RoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	in := writeTestTrajectory(t, dir)
+	orig, err := dataset.Load(writeTestTrajectory(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name       string
-		checkpoint int
-		wantMagic  string
+		name      string
+		wantMagic string
 	}{
-		{"oneshot", 0, "MDZF"},
-		{"framed", 2, "MDZ3"},
+		{"oneshot", "MDZF"},
+		{"framed", "MDZ3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outPath := filepath.Join(dir, tc.name+".mdz")
-			f := &cliFlags{
-				compress: in, out: outPath,
-				eps: 1e-3, bs: 4, method: "ADP",
-				format: 3, checkpoint: tc.checkpoint,
-			}
-			if err := doCompress(f, &obs{}); err != nil {
-				t.Fatal(err)
-			}
-			_, stream, err := parseContainer(outPath)
+			in := filepath.Join("testdata", "v3", tc.name+".mdz")
+			_, stream, err := parseContainer(in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := string(stream[:4]); got != tc.wantMagic {
 				t.Fatalf("payload magic = %q, want %q", got, tc.wantMagic)
 			}
+			if !bytes.Contains(stream, []byte("MDZB\x03")) {
+				t.Fatal("payload carries no version-3 block")
+			}
 			restored := filepath.Join(dir, tc.name+".out.mdzd")
-			df := &cliFlags{decompress: outPath, out: restored}
+			df := &cliFlags{decompress: in, out: restored}
 			if err := doDecompress(df, &obs{}); err != nil {
 				t.Fatal(err)
 			}
@@ -145,6 +140,24 @@ func TestFormatV3RoundTrip(t *testing.T) {
 			}
 			if d.M() != 12 || d.N() != 64 {
 				t.Fatalf("restored %dx%d, want 12x64", d.M(), d.N())
+			}
+			for axis := 0; axis < 3; axis++ {
+				pick := func(f dataset.Frame) []float64 { return [][]float64{f.X, f.Y, f.Z}[axis] }
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for _, f := range orig.Frames[:4] {
+					for _, v := range pick(f) {
+						lo, hi = math.Min(lo, v), math.Max(hi, v)
+					}
+				}
+				eb := 1e-3 * (hi - lo)
+				for s := range orig.Frames {
+					want, got := pick(orig.Frames[s]), pick(d.Frames[s])
+					for i := range want {
+						if e := math.Abs(want[i] - got[i]); !(e <= eb) {
+							t.Fatalf("snapshot %d axis %d atom %d: error %g exceeds %g", s, axis, i, e, eb)
+						}
+					}
+				}
 			}
 		})
 	}
@@ -160,7 +173,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 	tuned := filepath.Join(dir, "tuned.mdz")
 	f := &cliFlags{
 		compress: in, out: tuned,
-		eps: 1e-3, bs: 4, method: "ADP", format: 2,
+		eps: 1e-3, bs: 4, method: "ADP",
 		checkpoint: 2, workers: 2, shards: 4, pipeline: 2,
 	}
 	if err := validateFlags(f); err != nil {
@@ -172,7 +185,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 	plain := filepath.Join(dir, "plain.mdz")
 	pf := &cliFlags{
 		compress: in, out: plain,
-		eps: 1e-3, bs: 4, method: "ADP", format: 2,
+		eps: 1e-3, bs: 4, method: "ADP",
 		checkpoint: 2, shards: 4,
 	}
 	if err := doCompress(pf, &obs{}); err != nil {
@@ -490,7 +503,7 @@ func TestRangeAndIndexCLI(t *testing.T) {
 	indexed := filepath.Join(dir, "indexed.mdz")
 	if err := doCompress(&cliFlags{
 		compress: in, out: indexed,
-		eps: 1e-3, bs: 2, method: "ADP", format: 2,
+		eps: 1e-3, bs: 2, method: "ADP",
 		checkpoint: 2, seekIndex: true,
 	}, &obs{}); err != nil {
 		t.Fatal(err)
@@ -545,7 +558,7 @@ func TestRangeAndIndexCLI(t *testing.T) {
 	legacy := filepath.Join(dir, "legacy.mdz")
 	if err := doCompress(&cliFlags{
 		compress: in, out: legacy,
-		eps: 1e-3, bs: 2, method: "ADP", format: 2, checkpoint: 2,
+		eps: 1e-3, bs: 2, method: "ADP", checkpoint: 2,
 	}, &obs{}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,6 @@ type EntropyReport struct {
 	RawBytes  int64                    `json:"raw_bytes"`
 	GoVersion string                   `json:"go_version"`
 	Methods   map[string]EntropyMethod `json:"methods"`
-	// V3Methods holds the same benchmark run with Config.FormatVersion 3
-	// (dual-lane entropy coding). Comparisons are within-format only: v2
-	// numbers diff against v2 baselines, v3 against v3.
-	V3Methods map[string]EntropyMethod `json:"v3_methods,omitempty"`
 }
 
 // entropyStageNames maps telemetry histogram suffixes to report keys.
@@ -54,10 +50,8 @@ var entropyStages = []struct{ key, encHist, decHist string }{
 
 // RunEntropy benchmarks the compression pipeline per method on one dataset
 // analog, with telemetry attributing time to the prediction+quantization,
-// Huffman, and lossless-backend stages. formats selects which wire-format
-// versions to measure (2, 3, or both); empty means both. Format-2 results
-// land in Methods, format-3 results in V3Methods.
-func RunEntropy(cfg Config, formats ...int) (*EntropyReport, error) {
+// Huffman, and lossless-backend stages.
+func RunEntropy(cfg Config) (*EntropyReport, error) {
 	const name, bs = "Copper-B", 10
 	d, err := load(name, cfg)
 	if err != nil {
@@ -82,36 +76,23 @@ func RunEntropy(cfg Config, formats ...int) (*EntropyReport, error) {
 		GoVersion: runtime.Version(),
 		Methods:   map[string]EntropyMethod{},
 	}
-	if len(formats) == 0 {
-		formats = []int{2, 3}
-	}
-	for _, ver := range formats {
-		dst := rep.Methods
-		if ver == 3 {
-			rep.V3Methods = map[string]EntropyMethod{}
-			dst = rep.V3Methods
-		} else if ver != 2 {
-			return nil, fmt.Errorf("entropy: unsupported format version %d", ver)
+	for _, m := range []mdz.Method{mdz.VQ, mdz.VQT, mdz.MT, mdz.ADP} {
+		em, err := runEntropyMethod(m, batches, raw, values)
+		if err != nil {
+			return nil, fmt.Errorf("entropy %v: %w", m, err)
 		}
-		for _, m := range []mdz.Method{mdz.VQ, mdz.VQT, mdz.MT, mdz.ADP} {
-			em, err := runEntropyMethod(m, ver, batches, raw, values)
-			if err != nil {
-				return nil, fmt.Errorf("entropy %v (format v%d): %w", m, ver, err)
-			}
-			dst[m.String()] = em
-		}
+		rep.Methods[m.String()] = em
 	}
 	return rep, nil
 }
 
-func runEntropyMethod(m mdz.Method, formatVersion int, batches [][]mdz.Frame, raw, values int64) (EntropyMethod, error) {
+func runEntropyMethod(m mdz.Method, batches [][]mdz.Frame, raw, values int64) (EntropyMethod, error) {
 	c, err := mdz.NewCompressor(mdz.Config{
-		ErrorBound:    1e-4,
-		Method:        m,
-		Shards:        1,
-		Workers:       1,
-		FormatVersion: formatVersion,
-		Telemetry:     true,
+		ErrorBound: 1e-4,
+		Method:     m,
+		Shards:     1,
+		Workers:    1,
+		Telemetry:  true,
 	})
 	if err != nil {
 		return EntropyMethod{}, err
@@ -221,31 +202,20 @@ func methodOrder(methods map[string]EntropyMethod) []string {
 	return append(out, extra...)
 }
 
-// WriteText renders the report as an aligned human-readable table, with a
-// second section for the v3 run when the report carries one.
+// WriteText renders the report as an aligned human-readable table.
 func (r *EntropyReport) WriteText(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "entropy benchmark: %s (%d snapshots x %d atoms, batch %d, %s)\n",
 		r.Dataset, r.Snapshots, r.Atoms, r.BatchSize, r.GoVersion)
 	if err != nil {
 		return err
 	}
-	sections := []struct {
-		label   string
-		methods map[string]EntropyMethod
-	}{{"format v2", r.Methods}, {"format v3", r.V3Methods}}
-	for _, sec := range sections {
-		if len(sec.methods) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "[%s]\n", sec.label)
-		fmt.Fprintf(w, "%-6s %8s %10s %10s   %-28s %-28s\n",
-			"method", "CR", "enc MB/s", "dec MB/s", "enc ns/val (pq/huf/ll)", "dec ns/val (pq/huf/ll)")
-		for _, m := range methodOrder(sec.methods) {
-			em := sec.methods[m]
-			fmt.Fprintf(w, "%-6s %8.2f %10.1f %10.1f   %-28s %-28s\n",
-				m, em.Ratio, em.EncodeMBps, em.DecodeMBps,
-				stageTriple(em.Encode), stageTriple(em.Decode))
-		}
+	fmt.Fprintf(w, "%-6s %8s %10s %10s   %-28s %-28s\n",
+		"method", "CR", "enc MB/s", "dec MB/s", "enc ns/val (pq/huf/ll)", "dec ns/val (pq/huf/ll)")
+	for _, m := range methodOrder(r.Methods) {
+		em := r.Methods[m]
+		fmt.Fprintf(w, "%-6s %8.2f %10.1f %10.1f   %-28s %-28s\n",
+			m, em.Ratio, em.EncodeMBps, em.DecodeMBps,
+			stageTriple(em.Encode), stageTriple(em.Decode))
 	}
 	return nil
 }
@@ -257,10 +227,8 @@ func stageTriple(stages map[string]EntropyStage) string {
 		stages["lossless"].NsPerValue)
 }
 
-// CompareEntropy renders old-vs-new deltas of the headline numbers, within
-// format only: v2 results diff against the baseline's v2 section and v3
-// against its v3 section. Positive throughput deltas and CR deltas are
-// improvements. Throughput drops past the machine-noise margin print
+// CompareEntropy renders old-vs-new deltas of the headline numbers.
+// Positive throughput deltas and CR deltas are improvements. Throughput drops past the machine-noise margin print
 // WARNING lines; a compression-ratio regression beyond 2% on any method is
 // deterministic (same inputs, same algorithm) and returns an error so CI
 // fails loudly.
@@ -269,42 +237,28 @@ func CompareEntropy(w io.Writer, old, cur *EntropyReport) error {
 		return err
 	}
 	var ratioErr error
-	sections := []struct {
-		label    string
-		old, cur map[string]EntropyMethod
-	}{{"format v2", old.Methods, cur.Methods}, {"format v3", old.V3Methods, cur.V3Methods}}
-	for _, sec := range sections {
-		if len(sec.cur) == 0 {
+	fmt.Fprintf(w, "%-6s %18s %22s %22s\n", "method", "CR", "enc MB/s", "dec MB/s")
+	for _, m := range methodOrder(cur.Methods) {
+		n := cur.Methods[m]
+		o, ok := old.Methods[m]
+		if !ok {
+			fmt.Fprintf(w, "%-6s (no baseline)\n", m)
 			continue
 		}
-		if len(sec.old) == 0 {
-			fmt.Fprintf(w, "[%s] (no baseline section)\n", sec.label)
-			continue
+		fmt.Fprintf(w, "%-6s %8.2f -> %6.2f %10.1f -> %8.1f %10.1f -> %8.1f  (%+.0f%% dec)\n",
+			m, o.Ratio, n.Ratio, o.EncodeMBps, n.EncodeMBps, o.DecodeMBps, n.DecodeMBps,
+			pct(o.DecodeMBps, n.DecodeMBps))
+		// Wall-clock throughput is advisory (~±10% noise on shared
+		// runners): warn, don't fail.
+		const margin = 0.85
+		if n.EncodeMBps < o.EncodeMBps*margin {
+			fmt.Fprintf(w, "WARNING: %s encode throughput regressed %.1f -> %.1f MB/s\n", m, o.EncodeMBps, n.EncodeMBps)
 		}
-		fmt.Fprintf(w, "[%s]\n", sec.label)
-		fmt.Fprintf(w, "%-6s %18s %22s %22s\n", "method", "CR", "enc MB/s", "dec MB/s")
-		for _, m := range methodOrder(sec.cur) {
-			n := sec.cur[m]
-			o, ok := sec.old[m]
-			if !ok {
-				fmt.Fprintf(w, "%-6s (no baseline)\n", m)
-				continue
-			}
-			fmt.Fprintf(w, "%-6s %8.2f -> %6.2f %10.1f -> %8.1f %10.1f -> %8.1f  (%+.0f%% dec)\n",
-				m, o.Ratio, n.Ratio, o.EncodeMBps, n.EncodeMBps, o.DecodeMBps, n.DecodeMBps,
-				pct(o.DecodeMBps, n.DecodeMBps))
-			// Wall-clock throughput is advisory (~±10% noise on shared
-			// runners): warn, don't fail.
-			const margin = 0.85
-			if n.EncodeMBps < o.EncodeMBps*margin {
-				fmt.Fprintf(w, "WARNING: %s %s encode throughput regressed %.1f -> %.1f MB/s\n", sec.label, m, o.EncodeMBps, n.EncodeMBps)
-			}
-			if n.DecodeMBps < o.DecodeMBps*margin {
-				fmt.Fprintf(w, "WARNING: %s %s decode throughput regressed %.1f -> %.1f MB/s\n", sec.label, m, o.DecodeMBps, n.DecodeMBps)
-			}
-			if n.Ratio < o.Ratio*0.98 && ratioErr == nil {
-				ratioErr = fmt.Errorf("entropy: %s %s compression ratio regressed beyond 2%%: %.3f -> %.3f", sec.label, m, o.Ratio, n.Ratio)
-			}
+		if n.DecodeMBps < o.DecodeMBps*margin {
+			fmt.Fprintf(w, "WARNING: %s decode throughput regressed %.1f -> %.1f MB/s\n", m, o.DecodeMBps, n.DecodeMBps)
+		}
+		if n.Ratio < o.Ratio*0.98 && ratioErr == nil {
+			ratioErr = fmt.Errorf("entropy: %s compression ratio regressed beyond 2%%: %.3f -> %.3f", m, o.Ratio, n.Ratio)
 		}
 	}
 	return ratioErr

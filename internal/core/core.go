@@ -199,12 +199,6 @@ type Params struct {
 	// ADP decisions, quantization scope rates). Nil disables it at
 	// near-zero cost; telemetry never changes the output bytes.
 	Tel *Telemetry
-	// FormatVersion selects the block wire format: 0 or 2 write version-2
-	// blocks (version 1 when Shards resolves to 1, preserving historical
-	// bytes), 3 writes version-3 blocks (dual-stream entropy sections and
-	// the v3 dictionary coder). Decoders read all versions regardless of
-	// this setting.
-	FormatVersion int
 	// Budget, when non-nil, bounds the decoder's in-flight allocations that
 	// are driven by claimed lengths in untrusted blocks (output matrices,
 	// entropy payload counts, code tables, backend original sizes). Each
@@ -245,19 +239,12 @@ func (p *Params) fill() error {
 	if p.Backend == nil {
 		p.Backend = lossless.LZ{}
 	}
-	switch p.FormatVersion {
-	case 0:
-		p.FormatVersion = formatVer2
-	case formatVer2, formatVer3:
-	default:
-		return fmt.Errorf("core: FormatVersion must be 0, 2 or 3, got %d", p.FormatVersion)
-	}
 	return nil
 }
 
-// v3Backend returns the format-v3 variant of b: the built-in LZ flips to
-// its v3 wire layout and match finder; other backends (already versioned by
-// their own bytes, or external) pass through unchanged.
+// v3Backend returns the variant of b that reads format-v3 payloads: the
+// built-in LZ flips to its dual-lane v3 layout; other backends (already
+// versioned by their own bytes, or external) pass through unchanged.
 func v3Backend(b lossless.Backend) lossless.Backend {
 	if z, ok := b.(lossless.LZ); ok {
 		z.V3 = true
@@ -271,11 +258,10 @@ const (
 	blockMagic = "MDZB"
 	formatVer1 = 1 // single payload section per axis
 	formatVer2 = 2 // sharded: shard count + per-shard sub-sections
-	// formatVer3 keeps the version-2 sharded framing (always sharded, even
-	// K=1) but swaps every entropy payload for its dual-lane counterpart:
-	// huffman.EncodeInts2 sections inside shards and the V3 LZ backend
-	// around them. Decoders select the codec per block from this byte, so
-	// v2 and v3 blocks interleave freely on the wire.
+	// formatVer3 is read-only: the version-2 sharded framing (always
+	// sharded, even K=1) with dual-lane entropy sections inside shards and
+	// the V3 LZ backend around them. Decoders select the codec per block
+	// from this byte, so v2 and v3 blocks interleave freely on the wire.
 	formatVer3   = 3
 	firstLorenzo = 0 // first snapshot of batch: spatial Lorenzo (no ref yet)
 	firstRef     = 1 // first snapshot of batch: snapshot-0 reference
@@ -358,9 +344,6 @@ func NewEncoder(p Params) (*Encoder, error) {
 		cur = VQT // provisional; first batch evaluation overrides
 	}
 	e := &Encoder{p: p, q: q, cur: cur}
-	if p.FormatVersion == formatVer3 {
-		e.p.Backend = v3Backend(e.p.Backend)
-	}
 	if p.Tel != nil {
 		e.tel = *p.Tel
 		e.p.Backend = lossless.Timed{B: e.p.Backend, OnCompress: func(d time.Duration, in, out int) {
@@ -649,12 +632,9 @@ func (e *Encoder) encodeWithShards(ctx context.Context, m Method, batch [][]floa
 	}
 
 	// Header. Version 1 (single section) for K=1 keeps byte-for-byte
-	// compatibility with pre-sharding blocks; format v3 always uses the
-	// sharded layout so readers branch on the version byte alone.
+	// compatibility with pre-sharding blocks.
 	ver := byte(formatVer1)
-	if e.p.FormatVersion == formatVer3 {
-		ver = formatVer3
-	} else if k > 1 {
+	if k > 1 {
 		ver = formatVer2
 	}
 	blk = append(blk, blockMagic...)
@@ -777,26 +757,14 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 	sc.recon = recon
 	sc.levels, sc.outliers = levels, outliers
 
-	// Assemble payload sections, then run the lossless backend. Format v3
-	// swaps in the dual-lane section codec; the section order and outlier
-	// byte layout are unchanged.
-	payload := sc.payload[:0]
-	var err error
+	// Assemble payload sections, then run the lossless backend.
 	hsw := e.tel.HuffNS.Start()
-	if e.p.FormatVersion == formatVer3 {
-		payload, err = sc.huff.EncodeInts2(payload, bins)
-	} else {
-		payload, err = sc.huff.EncodeInts(payload, bins)
-	}
+	payload, err := sc.huff.EncodeInts(sc.payload[:0], bins)
 	if err != nil {
 		return nil, err
 	}
 	e.tel.observeHuffman(sc.huff.LastStats())
-	if e.p.FormatVersion == formatVer3 {
-		payload, err = sc.huff.EncodeInts2(payload, levels)
-	} else {
-		payload, err = sc.huff.EncodeInts(payload, levels)
-	}
+	payload, err = sc.huff.EncodeInts(payload, levels)
 	if err != nil {
 		return nil, err
 	}
@@ -1065,10 +1033,17 @@ func (d *Decoder) DecodeSnapshot(blk []byte, t int) ([]float64, error) {
 	if err := tx.Reserve(8 * int64(h.n)); err != nil {
 		return nil, err
 	}
-	snap := make([]float64, h.n)
+	// As in DecodeBatchContext, the claimed row is materialized only once a
+	// shard's sections have decoded to its share of the geometry.
+	var snap []float64
+	var snapOnce sync.Once
+	alloc := func() []float64 {
+		snapOnce.Do(func() { snap = make([]float64, h.n) })
+		return snap
+	}
 	offs := shardOffsets(h.shards)
 	err = d.p.Pool.Run(len(h.shards), func(s int) error {
-		return d.decodeShardSnapshot(q, h, h.shards[s], offs[s], t, snap, tx)
+		return d.decodeShardSnapshot(q, h, h.shards[s], offs[s], t, alloc, tx)
 	})
 	if err != nil {
 		return nil, err
@@ -1076,8 +1051,9 @@ func (d *Decoder) DecodeSnapshot(blk []byte, t int) ([]float64, error) {
 	return snap, nil
 }
 
-// decodeShardSnapshot reconstructs row t of one shard into snap[lo:].
-func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec, lo, t int, snap []float64, tx *budget.Tx) error {
+// decodeShardSnapshot reconstructs row t of one shard into the row alloc
+// materializes, at columns [lo, lo+particles).
+func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec, lo, t int, alloc func() []float64, tx *budget.Tx) error {
 	bs, sn := h.bs, sh.particles
 	sc := decScratchPool.Get().(*decodeScratch)
 	defer decScratchPool.Put(sc)
@@ -1088,6 +1064,7 @@ func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec
 	if len(levels) != bs*sn {
 		return ErrCorrupt // VQ blocks carry one level delta per value
 	}
+	snap := alloc()
 	stride, rowStep := 1, sn
 	if h.seq == Seq2 {
 		stride, rowStep = bs, 1
@@ -1251,17 +1228,6 @@ func parseHeader(blk []byte) (*header, error) {
 		sum += particles
 	}
 	if sum != h.n {
-		return nil, ErrCorrupt
-	}
-	// A forged header can pair a huge claimed geometry with a tiny payload,
-	// tricking the decoder into allocating bs×n values it can never fill.
-	// Even a constant axis needs well over a byte of payload per few
-	// thousand values, so reject implausible expansion claims up front.
-	body := 0
-	for _, sh := range h.shards {
-		body += len(sh.body)
-	}
-	if uint64(h.bs)*uint64(h.n) > uint64(body+1)*8192 {
 		return nil, ErrCorrupt
 	}
 	return h, nil

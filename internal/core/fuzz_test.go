@@ -86,47 +86,86 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// TestForgedGeometryDefersAllocation: a single-shard block whose header
-// claims a huge geometry over a small payload fails with ErrCorrupt on an
-// unbudgeted decoder without materializing the claimed output matrix —
-// repeated decodes of such blocks (as a fuzz corpus replays them) must not
-// touch gigabytes of memory.
+// TestForgedGeometryDefersAllocation: a block whose header claims a huge
+// geometry over a small payload fails with ErrCorrupt on an unbudgeted
+// decoder without materializing the claimed output — repeated decodes of
+// such blocks (as a fuzz corpus replays them) must not touch gigabytes of
+// memory. It covers every block version: a single-shard v1 block, a
+// sharded v2 block and a v3 fixture, each claiming about 2^32 values.
 func TestForgedGeometryDefersAllocation(t *testing.T) {
-	enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: VQ, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	encode := func(shards int) []byte {
+		enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: VQ, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, err := enc.EncodeBatch(crystalBatch(4, 30, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blk
 	}
-	blk, err := enc.EncodeBatch(crystalBatch(4, 30, 1))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		blk  []byte
+		ver  byte
+	}{
+		{"v1", encode(1), formatVer1},
+		{"v2 sharded", encode(3), formatVer2},
+		{"v3 fixture", readV3Block(t, "VQ_shards3_b0.bin"), formatVer3},
+	} {
+		if tc.blk[4] != tc.ver {
+			t.Fatalf("%s: block version %d, want %d", tc.name, tc.blk[4], tc.ver)
+		}
+		// magic, version, method, sequence, firstPred, eb; then uvarint
+		// scale, bs and n. The forgery raises bs to claim 2^32 values; n
+		// stays, so sharded blocks keep a consistent shard table.
+		p := 16
+		forged := append([]byte(nil), tc.blk[:p]...)
+		scale, k := binary.Uvarint(tc.blk[p:])
+		p += k
+		_, k = binary.Uvarint(tc.blk[p:])
+		p += k
+		n, k := binary.Uvarint(tc.blk[p:])
+		p += k
+		forged = binary.AppendUvarint(forged, scale)
+		forged = binary.AppendUvarint(forged, (1<<32)/n)
+		forged = binary.AppendUvarint(forged, n)
+		forged = append(forged, tc.blk[p:]...)
+
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < 3; i++ {
+			if _, err := NewDecoder(Params{}).DecodeBatch(forged); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: forged geometry: err = %v, want ErrCorrupt", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("%s: three rejected decodes allocated %d MiB", tc.name, grew>>20)
+		}
 	}
-	if blk[4] != formatVer1 {
-		t.Fatalf("block version %d, want %d", blk[4], formatVer1)
-	}
-	// magic, version, method, sequence, firstPred, eb; then uvarint scale,
-	// bs and n, which the forgery replaces with a 2^32-value claim.
+
+	// DecodeSnapshot materializes one row of n values: a v1 block (whose
+	// single section carries no particle count to contradict n) claiming
+	// 2^27 particles must fail the same way.
+	blk := encode(1)
 	p := 16
 	forged := append([]byte(nil), blk[:p]...)
-	scale, k := binary.Uvarint(blk[p:])
-	p += k
-	for i := 0; i < 2; i++ {
-		_, k = binary.Uvarint(blk[p:])
+	for i := 0; i < 2; i++ { // scale, bs
+		_, k := binary.Uvarint(blk[p:])
+		forged = append(forged, blk[p:p+k]...)
 		p += k
 	}
-	forged = binary.AppendUvarint(forged, scale)
-	forged = binary.AppendUvarint(forged, 1<<16)
-	forged = binary.AppendUvarint(forged, 1<<16)
-	forged = append(forged, blk[p:]...)
-
+	_, k := binary.Uvarint(blk[p:])
+	forged = binary.AppendUvarint(forged, 1<<27)
+	forged = append(forged, blk[p+k:]...)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	for i := 0; i < 3; i++ {
-		if _, err := NewDecoder(Params{}).DecodeBatch(forged); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("forged geometry: err = %v, want ErrCorrupt", err)
-		}
+	if _, err := NewDecoder(Params{}).DecodeSnapshot(forged, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged snapshot geometry: err = %v, want ErrCorrupt", err)
 	}
 	runtime.ReadMemStats(&ms1)
 	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 64<<20 {
-		t.Fatalf("three rejected decodes allocated %d MiB", grew>>20)
+		t.Fatalf("a rejected DecodeSnapshot allocated %d MiB", grew>>20)
 	}
 }

@@ -3,12 +3,14 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	mdz "github.com/mdz/mdz"
+	"github.com/mdz/mdz/internal/bitstream"
 )
 
 func makeTraj(m, n int, seed int64) []mdz.Frame {
@@ -179,8 +182,9 @@ func framesEqual(a, b []mdz.Frame) bool {
 }
 
 // TestDaemonE2EConcurrentSessions is the headline acceptance test: 64
-// concurrent sessions (mixed v2/v3), every returned container byte-
-// identical to the library API on the same input.
+// concurrent sessions (half naming format_version 2, half leaving it at
+// the default), every returned container byte-identical to the library API
+// on the same input.
 func TestDaemonE2EConcurrentSessions(t *testing.T) {
 	_, tc := newTestEnv(t, Options{})
 	const N = 64
@@ -190,12 +194,12 @@ func TestDaemonE2EConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			format := 2 + i%2
+			format := 2 * (i % 2)
 			traj := makeTraj(24, 120, int64(1000+i))
 			cfg := fmt.Sprintf(`{"tenant":"t%d","error_bound":1e-3,"format_version":%d,"checkpoint_interval":2,"buffer_size":5}`, i%4, format)
 			got := tc.runSession(cfg, traj)
 			want := libraryContainer(t, mdz.Config{
-				ErrorBound: 1e-3, FormatVersion: format, CheckpointInterval: 2, BufferSize: 5,
+				ErrorBound: 1e-3, CheckpointInterval: 2, BufferSize: 5,
 			}, traj)
 			if !bytes.Equal(got, want) {
 				errs <- fmt.Errorf("session %d: container diverges from library output (%d vs %d bytes)", i, len(got), len(want))
@@ -528,6 +532,12 @@ func TestDaemonBadRequests(t *testing.T) {
 	_, tc := newTestEnv(t, Options{})
 	tc.do(http.MethodPost, "/v1/sessions", []byte(`{`), http.StatusBadRequest)
 	tc.do(http.MethodPost, "/v1/sessions", []byte(`{"error_bound":1e-3,"method":"NOPE"}`), http.StatusBadRequest)
+	// Sessions write format v2 only; any other format_version, including
+	// the read-only 3, is refused instead of silently written as v2.
+	for _, v := range []int{1, 3, 4, -1} {
+		tc.do(http.MethodPost, "/v1/sessions", []byte(fmt.Sprintf(`{"error_bound":1e-3,"format_version":%d}`, v)), http.StatusBadRequest)
+	}
+	tc.create(`{"error_bound":1e-3,"format_version":2}`)
 	tc.do(http.MethodPost, "/v1/sessions", []byte(`{"error_bound":-1}`), http.StatusInternalServerError)
 
 	id := tc.create(`{"error_bound":1e-3}`)
@@ -645,5 +655,79 @@ func TestDaemonSeekIndexedRange(t *testing.T) {
 	empty := decodeWireFrames(t, tc.do(http.MethodPost, "/v1/decode?from=100&count=5", stream, http.StatusOK))
 	if len(empty) != 0 {
 		t.Fatalf("past-end ranged decode returned %d frames, want 0", len(empty))
+	}
+}
+
+// v3DrainFile builds a drain-state file holding one session drained by a
+// build that still wrote format v3: its metadata names format_version 3
+// and its container and writer state are committed v3 fixtures.
+func v3DrainFile(t *testing.T, id, state string, frames int64, container, wst []byte) []byte {
+	t.Helper()
+	meta, err := json.Marshal(drainMeta{
+		ID: id, Tenant: "legacy", State: state, Frames: frames,
+		ErrorBound: 1e-3, BufferSize: 2, CheckpointInterval: 3, FormatVersion: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(drainMagic), drainVersion)
+	out = bitstream.AppendUvarint(out, 1)
+	out = bitstream.AppendSection(out, meta)
+	out = bitstream.AppendSection(out, container)
+	return bitstream.AppendSection(out, wst)
+}
+
+// readV3Fixture loads one of the module's committed format-v3 fixtures.
+func readV3Fixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v3", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDaemonDrainRestoreV3 covers upgrading a daemon that drained format
+// v3 sessions: a closed v3 session restores and its container reads back
+// whole and by range; an active one cannot resume, and restore fails
+// naming it.
+func TestDaemonDrainRestoreV3(t *testing.T) {
+	stream := readV3Fixture(t, "stream_ADP.mdz")
+	want, err := mdz.NewReader(bytes.NewReader(stream)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	state := filepath.Join(t.TempDir(), "mdzd.state")
+	if err := os.WriteFile(state, v3DrainFile(t, "s00000007", stateClosed, int64(len(want)), stream, nil), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	srv, tc := newTestEnv(t, Options{StatePath: state})
+	defer srv.Close()
+	if got := tc.do(http.MethodGet, "/v1/sessions/s00000007/stream", nil, http.StatusOK); !bytes.Equal(got, stream) {
+		t.Fatal("restored v3 container changed")
+	}
+	all := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/s00000007/frames", nil, http.StatusOK))
+	if !framesEqual(all, want) {
+		t.Fatalf("restored v3 session read %d frames, want the %d of the container", len(all), len(want))
+	}
+	mid := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/s00000007/frames?from=13&count=9", nil, http.StatusOK))
+	if !framesEqual(mid, want[13:22]) {
+		t.Fatal("ranged read of the restored v3 session differs from the full read")
+	}
+	tc.do(http.MethodPost, "/v1/sessions/s00000007/frames", encodeWireFrames(t, want[:1]), http.StatusConflict)
+
+	wstRaw := readV3Fixture(t, "writer_state_ADP.bin")
+	var wst mdz.WriterState
+	if err := wst.UnmarshalBinary(wstRaw); err != nil {
+		t.Fatal(err)
+	}
+	active := filepath.Join(t.TempDir(), "mdzd.state")
+	if err := os.WriteFile(active, v3DrainFile(t, "s00000009", stateActive, wst.Frames+int64(len(wst.Pending)), stream[:wst.CompBytes], wstRaw), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Options{StatePath: active})
+	if err == nil || !strings.Contains(err.Error(), "s00000009") || !errors.Is(err, mdz.ErrStateDesync) {
+		t.Fatalf("restoring an active v3 session: err = %v, want ErrStateDesync naming s00000009", err)
 	}
 }

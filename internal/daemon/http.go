@@ -77,7 +77,9 @@ type SessionConfig struct {
 	BufferSize int `json:"buffer_size,omitempty"`
 	// CheckpointInterval emits a recovery checkpoint every N blocks.
 	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
-	// FormatVersion selects the container format: 0/2 = v2, 3 = v3.
+	// FormatVersion is checked, not configured: sessions always write the
+	// v2 container, so 0 and 2 are accepted and anything else (including
+	// the read-only v3) is rejected rather than silently written as v2.
 	FormatVersion int `json:"format_version,omitempty"`
 	// Workers bounds the session's compression goroutines (0 = GOMAXPROCS).
 	// Capped at maxSessionWorkers so one tenant cannot claim the box.
@@ -113,6 +115,9 @@ func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 	if err != nil {
 		return mdz.Config{}, err
 	}
+	if sc.FormatVersion != 0 && sc.FormatVersion != 2 {
+		return mdz.Config{}, fmt.Errorf("format_version must be 0 or 2 (sessions write format v2), got %d", sc.FormatVersion)
+	}
 	if sc.Workers < 0 || sc.Workers > maxSessionWorkers {
 		return mdz.Config{}, fmt.Errorf("workers must be in [0, %d], got %d", maxSessionWorkers, sc.Workers)
 	}
@@ -130,7 +135,6 @@ func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 		Method:             m,
 		BufferSize:         sc.BufferSize,
 		CheckpointInterval: sc.CheckpointInterval,
-		FormatVersion:      sc.FormatVersion,
 		Workers:            sc.Workers,
 		Shards:             sc.Shards,
 		ADPSampleShards:    sc.ADPSampleShards,

@@ -35,7 +35,11 @@ type drainMeta struct {
 	Method             int     `json:"method"`
 	BufferSize         int     `json:"buffer_size"`
 	CheckpointInterval int     `json:"checkpoint_interval"`
-	FormatVersion      int     `json:"format_version"`
+	// FormatVersion is 3 only for sessions drained by builds that still
+	// wrote v3. Closed ones restore and read back; active ones past their
+	// first block fail to resume, because mdz.ResumeWriter refuses v3
+	// checkpoints. Sessions drained now are v2 and leave it 0.
+	FormatVersion int `json:"format_version"`
 }
 
 // Drain stops ingest on every live session — every accepted frame is
@@ -118,7 +122,6 @@ func (s *session) export() ([]byte, error) {
 		Method:             int(s.cfg.Method),
 		BufferSize:         s.cfg.BufferSize,
 		CheckpointInterval: s.cfg.CheckpointInterval,
-		FormatVersion:      s.cfg.FormatVersion,
 	}
 	container := append([]byte(nil), s.buf.Bytes()...)
 	s.mu.Unlock()
@@ -191,7 +194,6 @@ func (srv *Server) restore(path string) (int, error) {
 			Method:             mdz.Method(meta.Method),
 			BufferSize:         meta.BufferSize,
 			CheckpointInterval: meta.CheckpointInterval,
-			FormatVersion:      meta.FormatVersion,
 		}
 		s, err := srv.buildSession(meta.ID, meta.Tenant, cfg, container, wst)
 		if err != nil {

@@ -49,7 +49,6 @@ type byteEncScratch struct {
 	par    [2*256 - 1]int32  // tree parent indices (root's is unset)
 	table  []byte
 	w      bitstream.Writer
-	w2     bitstream.Writer // second lane of the dual-stream (v3) payload
 }
 
 // leafNode is one pre-merge Huffman leaf in the byte builder.

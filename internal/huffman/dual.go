@@ -1,25 +1,21 @@
 package huffman
 
-import (
-	"fmt"
+import "github.com/mdz/mdz/internal/bitstream"
 
-	"github.com/mdz/mdz/internal/bitstream"
-)
-
-// This file implements the format v3 entropy sections: interleaved
-// dual-stream coding with multi-symbol decode.
+// This file decodes the format v3 entropy sections: two interleaved lanes
+// with multi-symbol decode. Format v3 is read-only; nothing in the module
+// writes these sections any more.
 //
-// A v3 section splits the symbol sequence into two halves ("lanes") that are
-// bit-packed independently and laid out as
+// A v3 section splits the symbol sequence into two halves ("lanes") that
+// were bit-packed independently and laid out as
 //
 //	section(table) || uvarint n || section(lane0) || section(lane1)
 //
 // with lane0 = syms[:(n+1)/2] and lane1 = syms[(n+1)/2:]. The table is the
-// identical serialization v2 uses (AppendTable's layout), so the code itself
-// carries no version. Two independent bit buffers let the encoder pack and
-// the decoder refill the lanes alternately: each lane's shift/flush chain no
-// longer serializes against the other's, which hides most of the
-// accumulator-dependency latency the single-stream (v2) hot loops pin.
+// identical serialization v2 uses (AppendTable's layout), and each lane is
+// exactly a single-stream EncodeAll of its half under that table. The
+// decoder refills the lanes alternately, so each lane's shift chain runs
+// independently of the other's.
 //
 // On top of the dual lanes, decode uses a pair LUT: each lutBits-wide root
 // probe resolves up to two complete codes in one table load (pairEnt), so
@@ -84,125 +80,6 @@ func (d *Decoder) buildPair() {
 		}
 		pair[p] = ent
 	}
-}
-
-// encodeDual packs lane a into w0 and lane b into w1, interleaving the two
-// local accumulators so the per-symbol shift chains of the lanes overlap.
-// Each lane's bytes are identical to an independent EncodeAll of that lane.
-func (e *Encoder) encodeDual(w0, w1 *bitstream.Writer, a, b []int) error {
-	if e.dense == nil {
-		// Sparse alphabet: the map path is cold; encode the lanes serially.
-		if err := e.EncodeAll(w0, a); err != nil {
-			return err
-		}
-		return e.EncodeAll(w1, b)
-	}
-	lo, dense := e.denseMin, e.dense
-	m := len(a)
-	if len(b) < m {
-		m = len(b)
-	}
-	var acc0, acc1 uint64
-	var na0, na1 uint
-	for i := 0; i < m; i++ {
-		ia, ib := a[i]-lo, b[i]-lo
-		if uint(ia) >= uint(len(dense)) || dense[ia].n == 0 {
-			return fmt.Errorf("huffman: symbol %d not in alphabet", a[i])
-		}
-		if uint(ib) >= uint(len(dense)) || dense[ib].n == 0 {
-			return fmt.Errorf("huffman: symbol %d not in alphabet", b[i])
-		}
-		c0, c1 := dense[ia], dense[ib]
-		if na0+uint(c0.n) > 64 {
-			w0.WriteBits(acc0, na0)
-			acc0, na0 = 0, 0
-		}
-		acc0 = acc0<<c0.n | c0.bits
-		na0 += uint(c0.n)
-		if na1+uint(c1.n) > 64 {
-			w1.WriteBits(acc1, na1)
-			acc1, na1 = 0, 0
-		}
-		acc1 = acc1<<c1.n | c1.bits
-		na1 += uint(c1.n)
-	}
-	// Lane-length tails (the halves differ by at most one symbol).
-	for _, s := range a[m:] {
-		idx := s - lo
-		if uint(idx) >= uint(len(dense)) || dense[idx].n == 0 {
-			return fmt.Errorf("huffman: symbol %d not in alphabet", s)
-		}
-		c := dense[idx]
-		if na0+uint(c.n) > 64 {
-			w0.WriteBits(acc0, na0)
-			acc0, na0 = 0, 0
-		}
-		acc0 = acc0<<c.n | c.bits
-		na0 += uint(c.n)
-	}
-	for _, s := range b[m:] {
-		idx := s - lo
-		if uint(idx) >= uint(len(dense)) || dense[idx].n == 0 {
-			return fmt.Errorf("huffman: symbol %d not in alphabet", s)
-		}
-		c := dense[idx]
-		if na1+uint(c.n) > 64 {
-			w1.WriteBits(acc1, na1)
-			acc1, na1 = 0, 0
-		}
-		acc1 = acc1<<c.n | c.bits
-		na1 += uint(c.n)
-	}
-	if na0 > 0 {
-		w0.WriteBits(acc0, na0)
-	}
-	if na1 > 0 {
-		w1.WriteBits(acc1, na1)
-	}
-	return nil
-}
-
-// EncodeInts2 is the dual-stream (format v3) counterpart of EncodeInts: same
-// code table, payload split into two independently packed lanes.
-func (s *Scratch) EncodeInts2(dst []byte, syms []int) ([]byte, error) {
-	enc, err := s.buildFor(syms)
-	if err != nil {
-		return nil, err
-	}
-	h := (len(syms) + 1) / 2
-	var table []byte
-	var w0, w1 *bitstream.Writer
-	if s == nil {
-		table = enc.AppendTable(nil)
-		w0 = bitstream.NewWriter(len(syms) / 4)
-		w1 = bitstream.NewWriter(len(syms) / 4)
-	} else {
-		s.table = enc.AppendTable(s.table[:0])
-		table = s.table
-		s.w.Reset()
-		s.w2.Reset()
-		w0, w1 = &s.w, &s.w2
-	}
-	if err := enc.encodeDual(w0, w1, syms[:h], syms[h:]); err != nil {
-		return nil, err
-	}
-	if s != nil {
-		s.stats = EncodeStats{
-			Symbols:      enc.NumSymbols(),
-			TableBytes:   len(table),
-			PayloadBytes: len(w0.Bytes()) + len(w1.Bytes()),
-		}
-	}
-	dst = bitstream.AppendSection(dst, table)
-	dst = bitstream.AppendUvarint(dst, uint64(len(syms)))
-	dst = bitstream.AppendSection(dst, w0.Bytes())
-	dst = bitstream.AppendSection(dst, w1.Bytes())
-	return dst, nil
-}
-
-// EncodeInts2 is the convenience form with fresh state.
-func EncodeInts2(dst []byte, syms []int) ([]byte, error) {
-	return (*Scratch)(nil).EncodeInts2(dst, syms)
 }
 
 // decodeDual fills out from the two lane readers: out[:h] from r0, out[h:]
@@ -277,62 +154,6 @@ outer:
 		return err
 	}
 	return d.decodeInto(r1, out[i1:lim1])
-}
-
-// EncodeBytes2 is the dual-stream (format v3) counterpart of EncodeBytes:
-// same code table, payload split into two independently packed lanes.
-func EncodeBytes2(dst []byte, data []byte) ([]byte, error) {
-	s := byteEncPool.Get().(*byteEncScratch)
-	defer byteEncPool.Put(s)
-
-	nsym := s.histogram(data)
-	if err := s.buildCodes(nsym); err != nil {
-		return nil, err
-	}
-	s.appendCodeTable(nsym)
-
-	h := (len(data) + 1) / 2
-	a, b := data[:h], data[h:]
-	s.w.Reset()
-	s.w2.Reset()
-	var acc0, acc1 uint64
-	var na0, na1 uint
-	for i := 0; i < len(b); i++ {
-		c0, c1 := s.codes[a[i]], s.codes[b[i]]
-		if na0+uint(c0.n) > 64 {
-			s.w.WriteBits(acc0, na0)
-			acc0, na0 = 0, 0
-		}
-		acc0 = acc0<<c0.n | c0.bits
-		na0 += uint(c0.n)
-		if na1+uint(c1.n) > 64 {
-			s.w2.WriteBits(acc1, na1)
-			acc1, na1 = 0, 0
-		}
-		acc1 = acc1<<c1.n | c1.bits
-		na1 += uint(c1.n)
-	}
-	if len(a) > len(b) {
-		c := s.codes[a[len(a)-1]]
-		if na0+uint(c.n) > 64 {
-			s.w.WriteBits(acc0, na0)
-			acc0, na0 = 0, 0
-		}
-		acc0 = acc0<<c.n | c.bits
-		na0 += uint(c.n)
-	}
-	if na0 > 0 {
-		s.w.WriteBits(acc0, na0)
-	}
-	if na1 > 0 {
-		s.w2.WriteBits(acc1, na1)
-	}
-
-	dst = bitstream.AppendSection(dst, s.table)
-	dst = bitstream.AppendUvarint(dst, uint64(len(data)))
-	dst = bitstream.AppendSection(dst, s.w.Bytes())
-	dst = bitstream.AppendSection(dst, s.w2.Bytes())
-	return dst, nil
 }
 
 // decodeDualBytes is decodeDual with a byte destination and the byte-range

@@ -4,20 +4,55 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/mdz/mdz/internal/bitstream"
+	"github.com/mdz/mdz/internal/budget"
 )
 
-func roundTripInts2(t *testing.T, s *Scratch, syms []int) {
+// dualSection assembles a dual-lane (format v3) section for syms in the
+// layout DESIGN.md §4.6 specifies:
+//
+//	table || n || section(EncodeAll(lane0)) || section(EncodeAll(lane1))
+//
+// with lane0 = syms[:(n+1)/2]. Nothing in the module writes this layout
+// any more; the tests build it to drive the frozen decoder.
+func dualSection(t testing.TB, syms []int) []byte {
 	t.Helper()
-	enc, err := s.EncodeInts2(nil, syms)
+	enc, err := (*Scratch)(nil).buildFor(syms)
 	if err != nil {
-		t.Fatalf("EncodeInts2: %v", err)
+		t.Fatal(err)
 	}
-	got, err := decodeInts(bitstream.NewByteReader(enc), 2)
+	h := (len(syms) + 1) / 2
+	var w0, w1 bitstream.Writer
+	if err := enc.EncodeAll(&w0, syms[:h]); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.EncodeAll(&w1, syms[h:]); err != nil {
+		t.Fatal(err)
+	}
+	out := bitstream.AppendSection(nil, enc.AppendTable(nil))
+	out = bitstream.AppendUvarint(out, uint64(len(syms)))
+	out = bitstream.AppendSection(out, w0.Bytes())
+	return bitstream.AppendSection(out, w1.Bytes())
+}
+
+// dualBytesSection is dualSection over byte symbols.
+func dualBytesSection(t testing.TB, data []byte) []byte {
+	t.Helper()
+	syms := make([]int, len(data))
+	for i, b := range data {
+		syms[i] = int(b)
+	}
+	return dualSection(t, syms)
+}
+
+func roundTripInts2(t *testing.T, syms []int) {
+	t.Helper()
+	got, err := decodeInts(bitstream.NewByteReader(dualSection(t, syms)), 2)
 	if err != nil {
-		t.Fatalf("DecodeInts2: %v", err)
+		t.Fatalf("dual decode: %v", err)
 	}
 	if len(got) != len(syms) {
 		t.Fatalf("length mismatch: got %d want %d", len(got), len(syms))
@@ -30,7 +65,6 @@ func roundTripInts2(t *testing.T, s *Scratch, syms []int) {
 }
 
 func TestDualIntsRoundTripEdges(t *testing.T) {
-	var sc Scratch
 	cases := [][]int{
 		{},                    // empty
 		{42},                  // single symbol, odd n
@@ -41,16 +75,13 @@ func TestDualIntsRoundTripEdges(t *testing.T) {
 		{1 << 40, -1 << 40},   // outside int32: pair LUT must fall back
 		{0, 1 << 40, 0, 0, 5}, // mixed narrow/wide
 	}
-	for i, c := range cases {
-		roundTripInts2(t, nil, c)
-		roundTripInts2(t, &sc, c)
-		_ = i
+	for _, c := range cases {
+		roundTripInts2(t, c)
 	}
 }
 
 func TestDualIntsRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	var sc Scratch
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(5000)
 		nsym := 1 + rng.Intn(300)
@@ -63,7 +94,7 @@ func TestDualIntsRoundTripRandom(t *testing.T) {
 			}
 			syms[i] = v - nsym/2
 		}
-		roundTripInts2(t, &sc, syms)
+		roundTripInts2(t, syms)
 	}
 }
 
@@ -82,12 +113,13 @@ func TestDualIntsLongCodes(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(payload), func(i, j int) {
 		payload[i], payload[j] = payload[j], payload[i]
 	})
-	roundTripInts2(t, &Scratch{}, payload)
+	roundTripInts2(t, payload)
 }
 
-// TestDualLanesMatchSingleStream parses the v3 section and decodes each lane
-// with the single-stream decoder: lane bytes must be exactly an independent
-// EncodeAll of that half, and the halves must reassemble to the input.
+// TestDualLanesMatchSingleStream checks the dual-lane decoder against the
+// single-stream one: each lane of a v3 section, re-framed as a v2 section
+// under the same table, must decode standalone, and the two halves must
+// equal the dual decode of the whole section.
 func TestDualLanesMatchSingleStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
@@ -96,69 +128,62 @@ func TestDualLanesMatchSingleStream(t *testing.T) {
 		for i := range syms {
 			syms[i] = rng.Intn(100)
 		}
-		var sc Scratch
-		enc, err := sc.EncodeInts2(nil, syms)
+		sec := dualSection(t, syms)
+		dual, err := decodeInts(bitstream.NewByteReader(sec), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br := bitstream.NewByteReader(enc)
-		table, err := br.ReadSection()
+		l0, l1, err := splitLanes(sec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cnt, err := br.ReadUvarint()
+		a, err := decodeInts(bitstream.NewByteReader(l0), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(cnt) != n {
-			t.Fatalf("count: got %d want %d", cnt, n)
-		}
-		p0, err := br.ReadSection()
+		b, err := decodeInts(bitstream.NewByteReader(l1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p1, err := br.ReadSection()
-		if err != nil {
-			t.Fatal(err)
+		if h := (n + 1) / 2; len(a) != h || len(b) != n-h {
+			t.Fatalf("trial %d: lane lengths %d+%d, want %d+%d", trial, len(a), len(b), h, n-h)
 		}
-		h := (n + 1) / 2
-
-		// Per-lane bytes must equal an independent single-stream encode.
-		e, err := sc.buildFor(syms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w0, w1 bitstream.Writer
-		if err := e.EncodeAll(&w0, syms[:h]); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EncodeAll(&w1, syms[h:]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(p0, w0.Bytes()) || !bytes.Equal(p1, w1.Bytes()) {
-			t.Fatalf("trial %d: lane bytes differ from single-stream encode", trial)
-		}
-
-		// Each lane must decode standalone with the v2 decoder.
-		dec, err := new(DecodeScratch).readTable(bitstream.NewByteReader(table), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l0, err := decodeAll(dec, bitstream.NewReader(p0), h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l1, err := decodeAll(dec, bitstream.NewReader(p1), n-h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joined := append(append([]int{}, l0...), l1...)
+		joined := append(append([]int{}, a...), b...)
 		for i := range joined {
-			if joined[i] != syms[i] {
+			if joined[i] != syms[i] || dual[i] != syms[i] {
 				t.Fatalf("trial %d: lane split decode mismatch at %d", trial, i)
 			}
 		}
 	}
+}
+
+// splitLanes re-frames the two lanes of a dual section as two single-lane
+// sections sharing its table.
+func splitLanes(sec []byte) (l0, l1 []byte, err error) {
+	br := bitstream.NewByteReader(sec)
+	table, err := br.ReadSection()
+	if err != nil {
+		return nil, nil, err
+	}
+	n, err := br.ReadUvarint()
+	if err != nil {
+		return nil, nil, err
+	}
+	p0, err := br.ReadSection()
+	if err != nil {
+		return nil, nil, err
+	}
+	p1, err := br.ReadSection()
+	if err != nil {
+		return nil, nil, err
+	}
+	h := n - n/2
+	lane := func(count uint64, payload []byte) []byte {
+		out := bitstream.AppendSection(nil, table)
+		out = bitstream.AppendUvarint(out, count)
+		return bitstream.AppendSection(out, payload)
+	}
+	return lane(h, p0), lane(n-h, p1), nil
 }
 
 func TestDualBytesRoundTrip(t *testing.T) {
@@ -193,13 +218,9 @@ func TestDualBytesRoundTrip(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		n := rng.Intn(8192)
 		data := shapes[trial%len(shapes)](n)
-		enc, err := EncodeBytes2(nil, data)
+		got, err := ds.DecodeBytes(bitstream.NewByteReader(dualBytesSection(t, data)), 2, buf, nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ds.DecodeBytes(bitstream.NewByteReader(enc), 2, buf, nil)
-		if err != nil {
-			t.Fatalf("trial %d: DecodeBytes2: %v", trial, err)
+			t.Fatalf("trial %d: dual byte decode: %v", trial, err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("trial %d: byte round trip mismatch (n=%d)", trial, n)
@@ -208,52 +229,43 @@ func TestDualBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDualBytesMatchesInts pins the byte dual-lane wire format to the
-// generic path: EncodeBytes2 must emit exactly EncodeInts2 over the widened
-// values, and DecodeBytes2 must reject wide symbols with ErrByteRange.
+// TestDualBytesMatchesInts pins the byte path of the dual-lane decoder to
+// the int path: both read the same section to the same values, and the
+// byte path rejects wide symbols with ErrByteRange.
 func TestDualBytesMatchesInts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var ds DecodeScratch
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(4096)
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(rng.Intn(40))
 		}
-		wide := make([]int, n)
-		for i, b := range data {
-			wide[i] = int(b)
-		}
-		fromBytes, err := EncodeBytes2(nil, data)
+		sec := dualBytesSection(t, data)
+		got, err := ds.DecodeBytes(bitstream.NewByteReader(sec), 2, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromInts, err := EncodeInts2(nil, wide)
+		vals, err := decodeInts(bitstream.NewByteReader(sec), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fromBytes, fromInts) {
-			t.Fatalf("trial %d: EncodeBytes2 and EncodeInts2 wire bytes differ", trial)
-		}
-		// The generic decoder must also accept the byte-path stream.
-		vals, err := decodeInts(bitstream.NewByteReader(fromBytes), 2)
-		if err != nil {
-			t.Fatal(err)
+		if len(vals) != len(got) {
+			t.Fatalf("trial %d: int path decoded %d values, byte path %d", trial, len(vals), len(got))
 		}
 		for i := range vals {
-			if vals[i] != wide[i] {
-				t.Fatalf("trial %d: DecodeInts2 over byte stream mismatch", trial)
+			if vals[i] != int(got[i]) || got[i] != data[i] {
+				t.Fatalf("trial %d: int and byte paths diverge at %d", trial, i)
 			}
 		}
 	}
 
 	// Wide symbols decode cleanly as ints but poison the byte path.
-	var sc Scratch
-	var ds DecodeScratch
-	enc, err := sc.EncodeInts2(nil, []int{1, 300, 2, 2, 300, 1, 1})
-	if err != nil {
+	sec := dualSection(t, []int{1, 300, 2, 2, 300, 1, 1})
+	if _, err := decodeInts(bitstream.NewByteReader(sec), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.DecodeBytes(bitstream.NewByteReader(enc), 2, nil, nil); !errors.Is(err, ErrByteRange) {
+	if _, err := ds.DecodeBytes(bitstream.NewByteReader(sec), 2, nil, nil); !errors.Is(err, ErrByteRange) {
 		t.Fatalf("want ErrByteRange, got %v", err)
 	}
 }
@@ -261,15 +273,11 @@ func TestDualBytesMatchesInts(t *testing.T) {
 // TestDualDecodeCorrupt checks truncation and garbage fail with errors, not
 // panics or silent success.
 func TestDualDecodeCorrupt(t *testing.T) {
-	var sc Scratch
 	syms := make([]int, 999)
 	for i := range syms {
 		syms[i] = i % 37
 	}
-	enc, err := sc.EncodeInts2(nil, syms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := dualSection(t, syms)
 	for cut := 0; cut < len(enc); cut += 7 {
 		if _, err := decodeInts(bitstream.NewByteReader(enc[:cut]), 2); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
@@ -281,56 +289,66 @@ func TestDualDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzDualRoundTrip feeds arbitrary bytes through both dual-lane codecs and
-// cross-checks the int path against the v2 single-stream codec.
+// FuzzDualRoundTrip decodes arbitrary bytes as a dual-lane section under a
+// memory budget. Every outcome is an error or a decode within the budget,
+// never a panic, and any accepted section must decode exactly as its two
+// lanes do through the single-stream (v2) decoder. The seeds are sections
+// assembled from symbol streams, so unmutated they also round-trip.
 func FuzzDualRoundTrip(f *testing.F) {
-	f.Add([]byte("hello hello hello"))
-	f.Add([]byte{0})
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{1, 2, 3, 250}, 100))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Byte path round trip.
-		encB, err := EncodeBytes2(nil, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ds DecodeScratch
-		gotB, err := ds.DecodeBytes(bitstream.NewByteReader(encB), 2, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotB, data) {
-			t.Fatal("byte dual round trip mismatch")
-		}
-
-		// Int path: derive signed symbols from the input and cross-check
-		// against the v2 section codec on decoded values.
+	seeds := [][]byte{
+		[]byte("hello hello hello"),
+		{0},
+		{},
+		bytes.Repeat([]byte{1, 2, 3, 250}, 100),
+	}
+	want := map[string][]int{}
+	for _, data := range seeds {
 		syms := make([]int, len(data))
 		for i, b := range data {
 			syms[i] = int(int8(b)) * int(b)
 		}
-		enc2, err := EncodeInts2(nil, syms)
+		sec := dualSection(f, syms)
+		want[string(sec)] = syms
+		f.Add(sec)
+	}
+	const limit = 1 << 20
+	f.Fuzz(func(t *testing.T, sec []byte) {
+		var ds DecodeScratch
+		tx := budget.New(limit).Begin()
+		defer tx.Close()
+		got, err := ds.DecodeInts(bitstream.NewByteReader(sec), 2, nil, tx)
 		if err != nil {
-			t.Fatal(err)
+			if syms, ok := want[string(sec)]; ok {
+				t.Fatalf("seed section of %d symbols failed to decode: %v", len(syms), err)
+			}
+			return
 		}
-		got2, err := decodeInts(bitstream.NewByteReader(enc2), 2)
+		if 8*len(got) > limit {
+			t.Fatalf("decoded %d symbols past a %d-byte budget", len(got), limit)
+		}
+		if syms, ok := want[string(sec)]; ok && !slices.Equal(got, syms) {
+			t.Fatal("seed section did not round-trip")
+		}
+		l0, l1, err := splitLanes(sec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("accepted section does not re-frame: %v", err)
 		}
-		enc1, err := EncodeInts(nil, syms)
+		a, err := decodeInts(bitstream.NewByteReader(l0), 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("lane 0 rejected by the single-stream decoder: %v", err)
 		}
-		got1, err := decodeInts(bitstream.NewByteReader(enc1), 1)
+		b, err := decodeInts(bitstream.NewByteReader(l1), 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("lane 1 rejected by the single-stream decoder: %v", err)
 		}
-		if len(got1) != len(got2) || len(got1) != len(syms) {
-			t.Fatal("length divergence between v2 and v3 sections")
+		if !slices.Equal(append(a, b...), got) {
+			t.Fatal("dual decode diverges from the single-stream decode of its lanes")
 		}
-		for i := range syms {
-			if got2[i] != syms[i] || got1[i] != got2[i] {
-				t.Fatalf("value divergence at %d", i)
+		if bs, err := ds.DecodeBytes(bitstream.NewByteReader(sec), 2, nil, nil); err == nil {
+			for i := range bs {
+				if int(bs[i]) != got[i] {
+					t.Fatalf("byte path diverges at %d", i)
+				}
 			}
 		}
 	})

@@ -851,7 +851,6 @@ type Scratch struct {
 	weights []uint64 // weights parallel to syms
 	table   []byte
 	w       bitstream.Writer
-	w2      bitstream.Writer // second lane of the dual-stream (v3) payload
 	stats   EncodeStats
 	// code-builder scratch (see buildSortedSc)
 	keys    []uint64

@@ -292,17 +292,13 @@ func TestSectionSteadyStateAllocs(t *testing.T) {
 			syms[i] = rng.Intn(1 << 16) // long codes reach the subtables
 		}
 	}
-	var es Scratch
 	for lanes := 1; lanes <= 2; lanes++ {
-		var sec []byte
-		var err error
-		if lanes == 2 {
-			sec, err = es.EncodeInts2(nil, syms)
-		} else {
-			sec, err = es.EncodeInts(nil, syms)
-		}
-		if err != nil {
-			t.Fatal(err)
+		sec := dualSection(t, syms)
+		if lanes == 1 {
+			var err error
+			if sec, err = EncodeInts(nil, syms); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var s DecodeScratch
 		buf := make([]int, len(syms))

@@ -30,12 +30,15 @@ import (
 type LZ struct {
 	// MaxChain bounds the match-finder chain walk; 0 means DefaultMaxChain.
 	MaxChain int
-	// V3 selects the format v3 wire layout and match finder (lzv3.go):
-	// dual-lane Huffman sections, lazy matching, 5-byte hashing, and an
-	// input-sized hash table. v3 streams are not readable by a v2 decoder
-	// (and vice versa); the container's block version selects the right one.
+	// V3 selects the read-only format v3 wire layout, whose two Huffman
+	// sections are dual-lane (the block version byte says which layout a
+	// payload uses). Decompress reads it; Compress refuses it, because
+	// nothing writes format v3 any more.
 	V3 bool
 }
+
+// errV3ReadOnly is the Compress error of a V3 coder.
+var errV3ReadOnly = errors.New("lossless: LZ format v3 is read-only")
 
 const (
 	lzMinMatch = 4
@@ -80,7 +83,7 @@ func (z LZ) Compress(src []byte) ([]byte, error) {
 // allocation count is zero.
 func (z LZ) AppendCompress(dst, src []byte) ([]byte, error) {
 	if z.V3 {
-		return z.appendCompressV3(dst, src)
+		return nil, errV3ReadOnly
 	}
 	maxChain := z.MaxChain
 	if maxChain <= 0 {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 )
@@ -57,15 +56,7 @@ func kernelCases() map[string][]byte {
 	out["ADP/shards=4"] = blk
 	// Outlier-heavy input: NaNs and huge jumps force the out-of-scope path
 	// (Reserved codes + exact storage) through the kernels' fix-up pass.
-	spiky := makeFrames(4, 256, 8)
-	for t := range spiky {
-		for i := 0; i < 256; i += 17 {
-			spiky[t].Y[i] = math.NaN()
-		}
-		for i := 5; i < 256; i += 29 {
-			spiky[t].Y[i] = 1e18
-		}
-	}
+	spiky := spikyFrames()
 	for _, m := range []Method{MT, VQ} {
 		c, err := NewCompressor(Config{ErrorBound: 1e-3, Method: m, Shards: 2})
 		if err != nil {

@@ -197,14 +197,6 @@ type Config struct {
 	// the output bytes; when false, the instrumentation hooks compile to a
 	// nil check and cost nothing measurable.
 	Telemetry bool
-	// FormatVersion selects the wire format written by this Compressor:
-	// 0 or 2 select format v2 (the default, byte-identical to previous
-	// releases), 3 opts into format v3 — dual-stream entropy sections,
-	// multi-symbol Huffman decode and the v3 dictionary coder — which is
-	// faster to encode and decode but unreadable by pre-v3 builds. Readers
-	// auto-detect the version per stream and per block, so decompression
-	// needs no matching setting.
-	FormatVersion int
 	// Context, when non-nil, is polled cooperatively by every compress
 	// operation that doesn't take its own context (CompressBatch, Compress,
 	// Writer.WriteFrame/Close): once it is cancelled or past its deadline,
@@ -224,12 +216,6 @@ type Config struct {
 	// "budget.rejections". The cap is per concurrent operation set, not per
 	// block: parallel shards draw from one shared ceiling.
 	MaxDecodeBytes int64
-	// Parallel is superseded by Workers and retained for compatibility:
-	// axis-level parallelism is now governed by the worker pool, which
-	// defaults to GOMAXPROCS. Output bytes are unaffected either way.
-	//
-	// Deprecated: set Workers instead; this field is ignored.
-	Parallel bool
 }
 
 // workers resolves the effective worker count.
@@ -278,9 +264,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	}
 	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > MaxPipelineDepth {
 		return nil, fmt.Errorf("mdz: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, cfg.PipelineDepth)
-	}
-	if v := cfg.FormatVersion; v != 0 && v != 2 && v != 3 {
-		return nil, fmt.Errorf("mdz: FormatVersion must be 0, 2 or 3, got %d", v)
 	}
 	if cfg.MaxDecodeBytes < 0 {
 		return nil, fmt.Errorf("mdz: MaxDecodeBytes must be non-negative, got %d", cfg.MaxDecodeBytes)
@@ -340,7 +323,6 @@ func (c *Compressor) params(axis int, firstBatch [][]float64) (core.Params, erro
 		ADPRetrialInterval: c.cfg.ADPRetrialInterval,
 		Pool:               c.pool,
 		Tel:                core.EncoderInstruments(c.reg, axisName(axis)),
-		FormatVersion:      c.cfg.FormatVersion,
 		FaultHook:          c.faultHook,
 	}, nil
 }

@@ -212,3 +212,18 @@ func TestPropertyErrorBoundAllMethods(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConstantTrajectoryShardedRoundTrip: a constant trajectory compresses
+// far past any fixed expansion ratio (10 frames of 200k atoms fit in well
+// under a kilobyte per axis), and sharded blocks of it must still decode.
+// Plausibility of a block's claimed geometry is not judged from its size;
+// the decoder defers allocating the output until a shard's sections have
+// decoded to their share of it.
+func TestConstantTrajectoryShardedRoundTrip(t *testing.T) {
+	frames := constantFrames(10, 200000)
+	for _, m := range []Method{MT, ADP} {
+		blks := compressAll(t, Config{ErrorBound: 1e-3, Method: m, Shards: 2}, frames, len(frames))
+		got := decompressAll(t, blks)
+		requireWithinRelBound(t, frames, got, 1e-3, len(frames))
+	}
+}

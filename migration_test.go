@@ -2,9 +2,11 @@ package mdz
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,9 +43,10 @@ func migrateWriter(t *testing.T, w *Writer, out *bytes.Buffer, cfg Config) (*Wri
 // TestWriterStateMigration is the session-migration contract behind the
 // daemon's drain/restart: a stream split across two Writer lifetimes — the
 // second resumed in a "new process" from serialized state — must be
-// byte-identical to an unmigrated run and decode bit-identically, for v2
-// and v3 formats, across split points landing mid-batch, on a block
-// boundary, and before the first flushed block.
+// byte-identical to an unmigrated run and decode bit-identically, across
+// split points landing mid-batch, on a block boundary, and before the
+// first flushed block. The v3 cases resume the states a v3 Writer
+// exported at the same splits (see checkV3Migration).
 func TestWriterStateMigration(t *testing.T) {
 	frames := makeFrames(23, 150, 7)
 	for _, format := range []int{2, 3} {
@@ -60,7 +63,7 @@ func TestWriterStateMigration(t *testing.T) {
 				t.Run(fmt.Sprintf("v%d_%v_split%d_depth%d", format, method, split, tc.depth), func(t *testing.T) {
 					cfg := Config{
 						ErrorBound: 1e-3, Method: method, BufferSize: 4,
-						CheckpointInterval: 3, FormatVersion: format,
+						CheckpointInterval: 3,
 					}
 
 					var want bytes.Buffer
@@ -78,6 +81,10 @@ func TestWriterStateMigration(t *testing.T) {
 					}
 
 					cfg.PipelineDepth = tc.depth
+					if format == 3 {
+						checkV3Migration(t, cfg, frames, split, want.Bytes())
+						return
+					}
 					var first bytes.Buffer
 					w1, err := NewWriter(&first, cfg)
 					if err != nil {
@@ -131,6 +138,60 @@ func TestWriterStateMigration(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkV3Migration resumes the WriterState a format v3 Writer exported
+// after frames[:split] (a committed fixture) under cfg. State past the
+// first block carries a v3 checkpoint and is refused with ErrStateDesync
+// naming the format. State before it names no format: the resumed Writer
+// appends v2 blocks behind the "MDZ3" magic, so the container is the v2
+// reference want under the v3 magic and decodes identically.
+func checkV3Migration(t *testing.T, cfg Config, frames []Frame, split int, want []byte) {
+	t.Helper()
+	st := &WriterState{}
+	if err := st.UnmarshalBinary(readV3Fixture(t, fmt.Sprintf("writer_state_%v_split%d.bin", cfg.Method, split))); err != nil {
+		t.Fatal(err)
+	}
+	if st.Frames+int64(len(st.Pending)) != int64(split) {
+		t.Fatalf("fixture holds %d+%d frames, want %d", st.Frames, len(st.Pending), split)
+	}
+	requireFramesIdentical(t, frames[st.Frames:split], st.Pending, "pending")
+	if st.Checkpoint != nil {
+		_, err := ResumeWriter(&bytes.Buffer{}, cfg, st)
+		if !errors.Is(err, ErrStateDesync) || !strings.Contains(err.Error(), "v3") {
+			t.Fatalf("resume of a v3 checkpoint: err = %v, want ErrStateDesync naming v3", err)
+		}
+		return
+	}
+	if !st.Opened || st.CompBytes != int64(len(streamMagicV3)) {
+		t.Fatalf("pre-block state: opened %v, %d container bytes", st.Opened, st.CompBytes)
+	}
+	buf := bytes.NewBufferString(streamMagicV3)
+	w, err := ResumeWriter(buf, cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[split:] {
+		if err := w.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	if !bytes.Equal(got[4:], want[4:]) {
+		t.Fatalf("resumed container diverged from the v2 run after the magic: %d vs %d bytes", len(got), len(want))
+	}
+	dec, err := NewReader(bytes.NewReader(got)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewReader(bytes.NewReader(want)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFramesIdentical(t, ref, dec, "resumed decode")
 }
 
 // gatedSink blocks its first underlying Write until the gate is closed and
@@ -249,61 +310,6 @@ func TestWriterDrainMidPipeline(t *testing.T) {
 	}
 }
 
-// TestCheckpointStateCrossProcessV3 mirrors TestCompressorStateResume for
-// the v3 format: CheckpointState serialized across a process boundary must
-// let a fresh v3 Compressor continue the stream byte-identically.
-func TestCheckpointStateCrossProcessV3(t *testing.T) {
-	frames := makeFrames(20, 160, 9)
-	cfg := Config{ErrorBound: 1e-3, Method: ADP, FormatVersion: 3}
-	full, err := NewCompressor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := full.CompressBatch(frames[i*5 : (i+1)*5]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := full.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Format != 3 {
-		t.Fatalf("exported checkpoint format = %d, want 3", st.Format)
-	}
-	payload, err := st.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := &CheckpointState{}
-	if err := wire.UnmarshalBinary(payload); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Format != 3 {
-		t.Fatalf("decoded checkpoint format = %d, want 3", wire.Format)
-	}
-	resumed, err := NewCompressor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.ImportState(wire); err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i < 4; i++ {
-		want, err := full.CompressBatch(frames[i*5 : (i+1)*5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := resumed.CompressBatch(frames[i*5 : (i+1)*5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("v3 batch %d diverged after cross-process resume", i)
-		}
-	}
-}
-
 // TestWriterStateGuards covers the refusal paths of the migration API.
 func TestWriterStateGuards(t *testing.T) {
 	if _, err := ResumeWriter(&bytes.Buffer{}, Config{ErrorBound: 1e-3}, nil); err == nil {
@@ -318,9 +324,17 @@ func TestWriterStateGuards(t *testing.T) {
 		t.Error("ResumeWriter accepted an advanced cursor on an unopened stream")
 	}
 
-	// Format mismatch between the checkpoint and the resuming Config.
+	// A checkpoint of the read-only v3 format.
+	v3 := &WriterState{}
+	if err := v3.UnmarshalBinary(readV3Fixture(t, "writer_state_ADP.bin")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeWriter(&bytes.Buffer{}, Config{ErrorBound: 1e-3, BufferSize: 2}, v3); err == nil {
+		t.Error("ResumeWriter accepted a v3 checkpoint")
+	}
+
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Config{ErrorBound: 1e-3, BufferSize: 2, FormatVersion: 3})
+	w, err := NewWriter(&buf, Config{ErrorBound: 1e-3, BufferSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +346,6 @@ func TestWriterStateGuards(t *testing.T) {
 	st, err := w.ExportState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ResumeWriter(&bytes.Buffer{}, Config{ErrorBound: 1e-3, BufferSize: 2}, st); err == nil {
-		t.Error("ResumeWriter accepted a v3 checkpoint under a v2 Config")
 	}
 
 	// Export after Close is refused; a never-written writer exports a

@@ -58,9 +58,11 @@ go test -race -count=5 ./internal/huffman ./internal/core
 go run ./cmd/mdzload -spawn -sessions 24 -frames 16 -atoms 100 -c 8 -verify 1
 
 # Short fuzz smoke over every parser and differential fuzzer in the tree
-# (stream framing, checkpoint parsing, the v2-vs-v3 pipeline differential,
-# and the entropy/dictionary hot-path equivalence fuzzers). Ten seconds per
-# fuzzer catches regressions without slowing the gate meaningfully.
+# (stream framing, checkpoint parsing, the read-only v3 decoders — blocks,
+# dual-lane sections and v3 LZ, seeded from the committed fixtures and
+# checked against the v2 decode — and the entropy/dictionary hot-path
+# equivalence fuzzers). Ten seconds per fuzzer catches regressions without
+# slowing the gate meaningfully.
 make fuzz-short FUZZTIME=10s
 
 # Performance gate: diff a fresh entropy-stage run against the committed

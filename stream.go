@@ -39,9 +39,9 @@ import (
 const (
 	streamMagic   = "MDZW" // v1: length-prefixed blocks, no recovery metadata
 	streamMagicV2 = "MDZ2" // v2: sync-framed blocks, checkpoints, trailer
-	// v3 uses the exact v2 framing (sync markers, checkpoints, trailer,
-	// resync) but marks that the frames carry format-v3 blocks, which
-	// pre-v3 builds cannot decode; the distinct magic fails them fast.
+	// v3 (read-only) is the exact v2 framing (sync markers, checkpoints,
+	// trailer, resync) around format-v3 blocks; the distinct magic made
+	// pre-v3 builds fail fast.
 	streamMagicV3 = "MDZ3"
 )
 
@@ -195,15 +195,11 @@ func (w *Writer) WriteFrame(f Frame) error {
 		return errors.New("mdz: write after Close")
 	}
 	if !w.opened {
-		magic := streamMagicV2
-		if w.c.cfg.FormatVersion == 3 {
-			magic = streamMagicV3
-		}
-		if _, err := w.w.WriteString(magic); err != nil {
+		if _, err := w.w.WriteString(streamMagicV2); err != nil {
 			return w.fail(err)
 		}
-		w.compBytes += int64(len(magic))
-		w.tel.framingBytes.Add(int64(len(magic)))
+		w.compBytes += int64(len(streamMagicV2))
+		w.tel.framingBytes.Add(int64(len(streamMagicV2)))
 		w.opened = true
 	}
 	w.pending = append(w.pending, f)
@@ -487,8 +483,12 @@ func (w *Writer) ExportState() (*WriterState, error) {
 // continuing a stream across a process boundary. dst must already hold the
 // container bytes the exporting Writer produced (ResumeWriter appends; it
 // never rewrites the prefix), and cfg must be equivalent to the exporting
-// Writer's Config — in particular the same FormatVersion. The resumed
-// Writer produces bytes identical to what the original would have written.
+// Writer's Config. The resumed Writer produces bytes identical to what the
+// original would have written. Nothing writes format v3 any more, so
+// state a v3 Writer exported after its first block is refused with
+// ErrStateDesync. Before that block the state names no format, and the
+// resumed Writer appends v2 blocks behind the "MDZ3" magic already
+// written, which Readers decode like any v3 stream.
 func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 	if st == nil {
 		return nil, errors.New("mdz: ResumeWriter with nil state")
@@ -499,9 +499,8 @@ func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 	if !st.Opened && (st.Seq != 0 || st.Blocks != 0 || st.Frames != 0 || len(st.Pending) > 0) {
 		return nil, fmt.Errorf("%w: writer state advanced before the stream magic", ErrStateDesync)
 	}
-	if st.Checkpoint != nil && normalizeFormat(st.Checkpoint.Format) != normalizeFormat(cfg.FormatVersion) {
-		return nil, fmt.Errorf("%w: checkpoint format v%d does not match Config.FormatVersion v%d",
-			ErrStateDesync, normalizeFormat(st.Checkpoint.Format), normalizeFormat(cfg.FormatVersion))
+	if st.Checkpoint != nil && st.Checkpoint.Format == 3 {
+		return nil, errV3Resume
 	}
 	if cfg.SeekIndex && !st.SeekIndex && st.Seq > 0 {
 		// The already-written frames were never indexed; a table built from
@@ -529,15 +528,6 @@ func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 		w.index = append(w.index, st.Index...)
 	}
 	return w, nil
-}
-
-// normalizeFormat maps the default format selector 0 to the concrete wire
-// version it writes.
-func normalizeFormat(v int) int {
-	if v == 0 {
-		return 2
-	}
-	return v
 }
 
 // Close flushes the final partial batch, writes the stream trailer and

@@ -151,7 +151,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	v2 := seed(Config{ErrorBound: 1e-3}, 6, 40)
 	f.Add(v2)
-	f.Add(seed(Config{ErrorBound: 1e-3, FormatVersion: 3}, 6, 40))
+	f.Add(readV3Fixture(f, "block_ADP_shards4.bin"))
 	f.Add(seed(Config{ErrorBound: 1e-3, Shards: 3}, 8, 96))
 	flip := append([]byte(nil), v2...)
 	flip[len(flip)/2] ^= 0x40

@@ -26,34 +26,35 @@ func writeStream(t *testing.T, cfg Config, frames []Frame) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamFormatMatrix builds the same trajectory as a v1, v2 and v3
-// container and checks that the auto-detecting Reader decodes all three,
-// that v2 and v3 reconstruct bit-identical values, and that each stream
-// leads with its own magic.
-func TestStreamFormatMatrix(t *testing.T) {
-	const bs = 4
-	frames := makeFrames(16, 100, 91)
-	cfg := Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs, CheckpointInterval: 2}
-
-	// v1: legacy length-prefixed container around v2-format blocks.
-	c, err := NewCompressor(Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs})
+// readV3Stream decodes the committed v3 stream fixture, checking it
+// against its rebuilt input: within the bound and equal to the pinned
+// hash.
+func readV3Stream(t *testing.T) (stream []byte, frames []Frame) {
+	t.Helper()
+	stream = readV3Fixture(t, "stream_ADP.mdz")
+	frames, err := NewReader(bytes.NewReader(stream)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blks [][]byte
-	for lo := 0; lo < len(frames); lo += bs {
-		blk, err := c.CompressBatch(frames[lo : lo+bs])
-		if err != nil {
-			t.Fatal(err)
-		}
-		blks = append(blks, append([]byte(nil), blk...))
+	requireWithinRelBound(t, v3StreamFrames(), frames, v3StreamConfig.ErrorBound, v3StreamConfig.BufferSize)
+	if h := hashFrames(frames); h != v3ADPStreamHash {
+		t.Fatalf("v3 stream decoded hash %s, want %s", h, v3ADPStreamHash)
 	}
-	v1 := buildV1Stream(blks...)
+	return stream, frames
+}
 
-	v2 := writeStream(t, cfg, frames)
-	cfg3 := cfg
-	cfg3.FormatVersion = 3
-	v3 := writeStream(t, cfg3, frames)
+// TestStreamFormatMatrix reads one trajectory as a v1 and a v2 container
+// plus the committed v3 container, checking that each leads with its own
+// magic, that the auto-detecting Reader decodes all three, and that v1 and
+// v2 reconstruct bit-identical values.
+func TestStreamFormatMatrix(t *testing.T) {
+	const bs = 4
+	frames := makeFrames(16, 100, 91)
+
+	// v1: legacy length-prefixed container around v2-format blocks.
+	v1 := buildV1Stream(compressAll(t, Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs}, frames, bs)...)
+	v2 := writeStream(t, Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs, CheckpointInterval: 2}, frames)
+	v3, _ := readV3Stream(t)
 
 	for _, c := range []struct {
 		name, magic string
@@ -75,17 +76,31 @@ func TestStreamFormatMatrix(t *testing.T) {
 		}
 		return got
 	}
-	got1, got2, got3 := decode(v1), decode(v2), decode(v3)
-	requireFramesIdentical(t, got1, got2, "v1 vs v2")
-	requireFramesIdentical(t, got2, got3, "v2 vs v3")
+	requireFramesIdentical(t, decode(v1), decode(v2), "v1 vs v2")
 }
 
-// TestV3StreamRejectsOldReaderStyle pins that a v3 stream is not mistaken
-// for a one-shot payload and that garbage magics still fail typed.
+// TestV3StreamMagicDetection pins that the v3 stream is detected by its
+// magic, decodes through Seek/ReadRange via its seek table, and that a
+// garbage magic still fails typed.
 func TestV3StreamMagicDetection(t *testing.T) {
-	frames := makeFrames(4, 30, 3)
-	cfg := Config{ErrorBound: 1e-3, BufferSize: 4, FormatVersion: 3}
-	v3 := writeStream(t, cfg, frames)
+	v3, clean := readV3Stream(t)
+
+	r := NewReader(bytes.NewReader(v3))
+	if err := r.Seek(17); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFramesIdentical(t, clean[17:18], []Frame{f}, "Seek(17)")
+	for _, w := range [][2]int{{0, 40}, {5, 6}, {13, 29}, {38, 40}} {
+		got, err := NewReader(bytes.NewReader(v3)).ReadRange(w[0], w[1])
+		if err != nil {
+			t.Fatalf("ReadRange(%d, %d): %v", w[0], w[1], err)
+		}
+		requireFramesIdentical(t, clean[w[0]:w[1]], got, "ReadRange")
+	}
 
 	// Mangle the magic: the reader must reject rather than guess.
 	bad := append([]byte(nil), v3...)
@@ -95,21 +110,12 @@ func TestV3StreamMagicDetection(t *testing.T) {
 	}
 }
 
-// TestV3StreamResync corrupts a v3 stream mid-frame and checks that the
+// TestV3StreamResync corrupts the v3 stream mid-frame and checks that the
 // resyncing reader salvages the undamaged regions, exactly as it does for
 // v2 streams: salvaged frames must be an order-preserving subsequence of
 // the clean decode and the loss must be accounted.
 func TestV3StreamResync(t *testing.T) {
-	frames := makeFrames(24, 120, 57)
-	cfg := Config{
-		ErrorBound: 1e-3, Method: MT, BufferSize: 2,
-		CheckpointInterval: 3, FormatVersion: 3,
-	}
-	stream := writeStream(t, cfg, frames)
-	clean, err := NewReader(bytes.NewReader(stream)).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream, clean := readV3Stream(t)
 	metas := parseV2Frames(t, stream)
 	m := dataFrames(metas)[4]
 	hurt := faultio.Corrupt(stream, faultio.Fault{
