@@ -53,6 +53,8 @@ bench-read:
 # FuzzV3Differential, FuzzDualRoundTrip and FuzzLZV3RoundTrip fuzz the
 # read-only v3 decoders (block, dual-lane section, v3 LZ) from decodable
 # seeds and check accepted inputs against the v2 decode.
+# FuzzSeekRange checks Seek/ReadRange windows against a full sequential
+# decode across writer and reader knobs.
 FUZZTIME ?= 30s
 
 fuzz-short:
@@ -60,6 +62,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointUnmarshal$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzV3Differential$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzSeekRange$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderDifferential$$' -fuzztime $(FUZZTIME) ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTableDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman

@@ -820,7 +820,10 @@ type Decoder struct {
 	// by the header version byte so v2 and v3 blocks interleave freely.
 	backendV3 lossless.Backend
 	ref       []float64
-	tel       Telemetry // by value: zero struct (all-nil fields) when disabled
+	// hold marks a reference the caller will supply (HoldRef): until SetRef
+	// does, no decoded block is adopted as the reference.
+	hold bool
+	tel  Telemetry // by value: zero struct (all-nil fields) when disabled
 }
 
 // NewDecoder returns a Decoder. Only Backend, Pool and Tel are consulted
@@ -912,7 +915,7 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 	if err != nil {
 		return nil, err
 	}
-	if d.ref == nil {
+	if d.ref == nil && !d.hold {
 		d.ref = append([]float64(nil), out[0]...)
 	}
 	d.tel.Batches.Inc()

@@ -40,7 +40,8 @@ type EncoderState struct {
 }
 
 // ExportState snapshots the encoder's cross-batch state. The returned Ref
-// is a copy; mutating it does not affect the encoder.
+// is the encoder's own, which it never mutates once set; callers must not
+// mutate it either.
 func (e *Encoder) ExportState() EncoderState {
 	st := EncoderState{
 		ErrorBound: e.p.ErrorBound,
@@ -53,9 +54,7 @@ func (e *Encoder) ExportState() EncoderState {
 		st.LevelDistance = e.km.LevelDistance
 		st.LevelOrigin = e.km.LevelOrigin
 	}
-	if e.ref != nil {
-		st.Ref = append([]float64(nil), e.ref...)
-	}
+	st.Ref = e.ref
 	return st
 }
 
@@ -95,13 +94,33 @@ func (e *Encoder) ImportState(st EncoderState) error {
 func (d *Decoder) Ref() []float64 { return d.ref }
 
 // SetRef reseeds the decoder's MT prediction reference from a checkpoint,
-// replacing any existing reference. A nil ref clears it.
+// replacing any existing reference and ending a HoldRef. A nil ref clears
+// it: the next decoded block, which must then be the run's first,
+// establishes it again.
 func (d *Decoder) SetRef(ref []float64) {
+	d.hold = false
 	if ref == nil {
 		d.ref = nil
 		return
 	}
 	d.ref = append([]float64(nil), ref...)
+}
+
+// HoldRef clears the reference for a decoder resuming mid-stream whose
+// caller supplies it later through SetRef. Until then no decoded block is
+// adopted as the reference — a mid-stream snapshot is not the run's
+// snapshot 0 — and a block predicting from the reference fails with
+// ErrOrder.
+func (d *Decoder) HoldRef() {
+	d.ref = nil
+	d.hold = true
+}
+
+// UsesRef reports whether a block predicts from the run's snapshot-0
+// reference — an MT block after the run's first — by peeking at its header
+// bytes only. A block it reports false for decodes without a reference.
+func UsesRef(blk []byte) bool {
+	return len(blk) > 7 && string(blk[:4]) == blockMagic && Method(blk[5]) == MT && blk[7] == firstRef
 }
 
 // BlockInfo reports a block's concrete method, snapshot count and particle

@@ -111,6 +111,80 @@ func TestDecoderRefReseed(t *testing.T) {
 	}
 }
 
+// TestDecoderHoldRef checks the deferred-reseed contract: a held decoder
+// decodes blocks that need no reference without adopting one of their
+// snapshots, refuses a block that does (UsesRef) with ErrOrder, and
+// decodes it bit-identically once SetRef supplies the reference.
+func TestDecoderHoldRef(t *testing.T) {
+	var blks [][]byte
+	for i, m := range []Method{MT, VQT, MT} {
+		enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every block is its run's second, so the MT ones predict from the
+		// reference.
+		if _, err := enc.EncodeBatch(liquidBatch(5, 150, 7)); err != nil {
+			t.Fatal(err)
+		}
+		blk, err := enc.EncodeBatch(liquidBatch(5, 150, int64(8+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blks = append(blks, blk)
+	}
+	if !UsesRef(blks[0]) || UsesRef(blks[1]) {
+		t.Fatalf("UsesRef: MT block %v, VQT block %v", UsesRef(blks[0]), UsesRef(blks[1]))
+	}
+
+	held := NewDecoder(Params{})
+	held.HoldRef()
+	if _, err := held.DecodeBatch(blks[1]); err != nil {
+		t.Fatal(err)
+	}
+	if held.Ref() != nil {
+		t.Fatal("held decoder adopted a mid-stream snapshot as its reference")
+	}
+	if _, err := held.DecodeBatch(blks[2]); !errors.Is(err, ErrOrder) {
+		t.Fatalf("held decode of an MT block: err=%v, want ErrOrder", err)
+	}
+
+	ref := NewDecoder(Params{})
+	if _, err := ref.DecodeBatch(encodeFirst(t, liquidBatch(5, 150, 7))); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DecodeBatch(blks[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	held.SetRef(ref.Ref())
+	got, err := held.DecodeBatch(blks[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := range want {
+		for i := range want[ti] {
+			if want[ti][i] != got[ti][i] {
+				t.Fatalf("decode after SetRef diverged at t=%d i=%d", ti, i)
+			}
+		}
+	}
+}
+
+// encodeFirst encodes batch as the first block of a fresh MT run.
+func encodeFirst(t *testing.T, batch [][]float64) []byte {
+	t.Helper()
+	enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: MT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := enc.EncodeBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk
+}
+
 // TestImportStateRejects covers the guard rails around ImportState.
 func TestImportStateRejects(t *testing.T) {
 	p := Params{ErrorBound: 1e-3, Method: VQT}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,26 @@ func (tc *testClient) do(method, path string, body []byte, wantStatus int) []byt
 		tc.t.Fatalf("%s %s: status %d (want %d): %s", method, path, resp.StatusCode, wantStatus, out)
 	}
 	return out
+}
+
+// readFrames GETs a session's frames (query appended to the path) and
+// returns them with the X-Mdz-Committed watermark of the response.
+func (tc *testClient) readFrames(id, query string) ([]mdz.Frame, int64) {
+	tc.t.Helper()
+	resp, err := tc.c.Get(tc.base + "/v1/sessions/" + id + "/frames" + query)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		tc.t.Fatalf("GET frames%s: status %d, err %v: %s", query, resp.StatusCode, err, body)
+	}
+	committed, err := strconv.ParseInt(resp.Header.Get("X-Mdz-Committed"), 10, 64)
+	if err != nil {
+		tc.t.Fatalf("GET frames%s: X-Mdz-Committed %q: %v", query, resp.Header.Get("X-Mdz-Committed"), err)
+	}
+	return decodeWireFrames(tc.t, body), committed
 }
 
 func (tc *testClient) create(cfg string) string {
@@ -309,13 +330,13 @@ func TestDaemonRangedRead(t *testing.T) {
 
 	// Live session: 15 frames in blocks of 3 are all flushed; the stream
 	// has no trailer yet, which a ranged read must tolerate.
-	all := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames", nil, http.StatusOK))
-	if len(all) != 15 {
-		t.Fatalf("live read returned %d frames, want 15", len(all))
+	all, committed := tc.readFrames(id, "")
+	if len(all) != 15 || committed != 15 {
+		t.Fatalf("live read returned %d frames at X-Mdz-Committed %d, want 15 at 15", len(all), committed)
 	}
-	mid := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames?from=6&count=4", nil, http.StatusOK))
-	if len(mid) != 4 || !framesEqual(mid, all[6:10]) {
-		t.Fatalf("ranged read [6,10) returned %d frames or wrong content", len(mid))
+	mid, committed := tc.readFrames(id, "?from=6&count=4")
+	if len(mid) != 4 || !framesEqual(mid, all[6:10]) || committed != 15 {
+		t.Fatalf("ranged read [6,10) returned %d frames or wrong content at X-Mdz-Committed %d", len(mid), committed)
 	}
 
 	tc.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
@@ -351,14 +372,15 @@ func TestDaemonSyncIngest(t *testing.T) {
 		if c := tc.sessionInfo(id).CommittedFrames; c != int64(step.upTo) {
 			t.Fatalf("committed_frames = %d, want %d", c, step.upTo)
 		}
-		got := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames", nil, http.StatusOK))
-		if len(got) != step.visible {
-			t.Fatalf("after %d committed frames a live read returned %d, want %d", step.upTo, len(got), step.visible)
+		got, committed := tc.readFrames(id, "")
+		if len(got) != step.visible || committed != int64(step.upTo) {
+			t.Fatalf("after %d committed frames a live read returned %d at X-Mdz-Committed %d, want %d at %d",
+				step.upTo, len(got), committed, step.visible, step.upTo)
 		}
 	}
 	tc.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
-	if got := decodeWireFrames(t, tc.do(http.MethodGet, "/v1/sessions/"+id+"/frames", nil, http.StatusOK)); len(got) != len(traj) {
-		t.Fatalf("closed read returned %d frames, want %d", len(got), len(traj))
+	if got, committed := tc.readFrames(id, ""); len(got) != len(traj) || committed != int64(len(traj)) {
+		t.Fatalf("closed read returned %d frames at X-Mdz-Committed %d, want %d at %d", len(got), committed, len(traj), len(traj))
 	}
 	// A closed session refuses frames, synced or not.
 	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames?sync=1", encodeWireFrames(t, traj[:1]), http.StatusConflict)

@@ -317,7 +317,7 @@ func (srv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		srv.httpError(w, errUnknownSession)
 		return
 	}
-	data, closed, serr := s.snapshot()
+	data, _, closed, serr := s.snapshot()
 	if serr != nil {
 		srv.httpError(w, serr)
 		return
@@ -334,6 +334,10 @@ func (srv *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // session's container and returns it in the wire record format. An active
 // session's container legitimately ends mid-stream (no trailer yet); the
 // truncation is tolerated and the response reports how many frames exist.
+// X-Mdz-Committed carries the committed-frame watermark of the container
+// snapshot the read was served from: every frame a ?sync=1 ingest had
+// committed by then is in the snapshot, except those of a block still
+// below BufferSize.
 func (srv *Server) handleReadFrames(w http.ResponseWriter, r *http.Request) {
 	s, ok := srv.lookup(r.PathValue("id"))
 	if !ok {
@@ -345,7 +349,7 @@ func (srv *Server) handleReadFrames(w http.ResponseWriter, r *http.Request) {
 		srv.httpError(w, err)
 		return
 	}
-	data, closed, serr := s.snapshot()
+	data, committed, closed, serr := s.snapshot()
 	if serr != nil {
 		srv.httpError(w, serr)
 		return
@@ -356,6 +360,7 @@ func (srv *Server) handleReadFrames(w http.ResponseWriter, r *http.Request) {
 		srv.httpError(w, derr)
 		return
 	}
+	w.Header().Set("X-Mdz-Committed", strconv.FormatInt(committed, 10))
 	srv.writeFrames(w, s.tenant, frames)
 }
 

@@ -328,14 +328,15 @@ func (s *session) release() {
 	s.mu.Unlock()
 }
 
-// snapshot returns the container bytes flushed so far and whether the
-// stream is final. The slice aliases the buffer's array but stays valid
-// and immutable: the buffer is append-only, and growth reallocates rather
-// than moving bytes under a reader.
-func (s *session) snapshot() (data []byte, closed bool, err error) {
+// snapshot returns the container bytes flushed so far, the committed-frame
+// watermark taken with them, and whether the stream is final. The slice
+// aliases the buffer's array but stays valid and immutable: the buffer is
+// append-only, and growth reallocates rather than moving bytes under a
+// reader.
+func (s *session) snapshot() (data []byte, committed int64, closed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.buf.Bytes(), s.state == stateClosed, s.err
+	return s.buf.Bytes(), s.committed, s.state == stateClosed, s.err
 }
 
 // info is the session document served by the listing and detail endpoints.

@@ -234,6 +234,7 @@ type Compressor struct {
 	cfg       Config
 	pool      *pool.Pool
 	enc       [3]*core.Encoder
+	pack      *refPack            // the stream's packed references (state)
 	reg       *telemetry.Registry // nil unless cfg.Telemetry
 	cancelled *telemetry.Counter  // "pipeline.cancelled_runs"; nil-safe
 	faultHook func(op string, shard int)
@@ -613,6 +614,26 @@ func blockSnapshots(blk []byte) (int, error) {
 		return 0, mapBlockErr(err)
 	}
 	return bs, nil
+}
+
+// blockUsesRef reports whether any axis of a block predicts from the
+// stream's MT reference (core.UsesRef), parsing the section framing only.
+// A malformed block reports false; decoding it fails on its own.
+func blockUsesRef(blk []byte) bool {
+	if len(blk) < 8 || string(blk[:4]) != "MDZS" {
+		return false
+	}
+	br := bitstream.NewByteReader(blk[4 : len(blk)-4])
+	for axis := 0; axis < 3; axis++ {
+		sec, err := br.ReadSection()
+		if err != nil {
+			return false
+		}
+		if core.UsesRef(sec) {
+			return true
+		}
+	}
+	return false
 }
 
 // Batch splits frames into buffers of at most bs frames (bs <= 0 selects

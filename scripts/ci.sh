@@ -58,10 +58,11 @@ go test -race -count=5 ./internal/huffman ./internal/core
 go run ./cmd/mdzload -spawn -sessions 24 -frames 16 -atoms 100 -c 8 -verify 1
 
 # Short fuzz smoke over every parser and differential fuzzer in the tree
-# (stream framing, checkpoint parsing, the read-only v3 decoders — blocks,
-# dual-lane sections and v3 LZ, seeded from the committed fixtures and
-# checked against the v2 decode — and the entropy/dictionary hot-path
-# equivalence fuzzers). Ten seconds per fuzzer catches regressions without
+# (stream framing, checkpoint parsing, Seek/ReadRange windows against a
+# full sequential decode across the writer and reader knobs, the
+# read-only v3 decoders — blocks, dual-lane sections and v3 LZ, seeded
+# from the committed fixtures and checked against the v2 decode — and the
+# entropy/dictionary hot-path equivalence fuzzers). Ten seconds per fuzzer catches regressions without
 # slowing the gate meaningfully.
 make fuzz-short FUZZTIME=10s
 
@@ -88,3 +89,10 @@ go run ./cmd/mdzbench -scale -compare BENCH_scale.json
 # workers is exactly the kind of coordination races hide in.
 go run ./cmd/mdzbench -read -compare BENCH_read.json
 go test -race -count=2 -run 'TestPipelined|TestSeekIndexedStream|TestReadRangeWindows' .
+
+# Random access under the race detector, ten times over: a reseed that Seek
+# leaves pending is applied on the caller's goroutine while the pipelined
+# Reader's fetch goroutine reads ahead and its decode workers run groups
+# of blocks that need no reference, so the seek, checkpoint, salvage and
+# pipeline tests are repeated to vary those schedules.
+go test -race -count=10 -run 'Seek|ReadRange|Checkpoint|Resync|Pipeline' .

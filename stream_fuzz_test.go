@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"testing"
 )
@@ -174,4 +176,126 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("untyped error: %v", err)
 		}
 	})
+}
+
+// FuzzSeekRange checks random access across the knob space. A random
+// trajectory (constant, drifting or regime-shift, so ADP moves between
+// MT and VQT mid-stream) is written with a random BufferSize,
+// CheckpointInterval 0–5, SeekIndex on or off and ADP re-evaluating every
+// batch or on its default schedule; one Reader, serial or pipelined, then
+// serves three random windows and reads on to the end. Every window and
+// the tail must be bit-identical to the same slice of a full sequential
+// decode — whichever windows leave a reseed pending and whichever resolve
+// it.
+func FuzzSeekRange(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(4), uint8(2), uint8(0x05), uint16(37), uint8(9))
+	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0x0f), uint16(60), uint8(3))
+	f.Add(int64(42), uint8(2), uint8(9), uint8(0), uint8(0x02), uint16(5), uint8(20))
+	f.Add(int64(3), uint8(0), uint8(0), uint8(5), uint8(0x0d), uint16(0), uint8(1))
+	f.Add(int64(1), uint8(1), uint8(10), uint8(0x55), uint8(0x04), uint16(37), uint8(9))
+	f.Add(int64(151), uint8(205), uint8(80), uint8(119), uint8(0xff), uint16(51), uint8(27))
+	f.Fuzz(func(t *testing.T, seed int64, shape, bufSize, interval, knobs uint8, lo uint16, width uint8) {
+		m := 20 + int(uint64(seed)%80)
+		n := 8 + int(uint64(seed>>8)%32)
+		frames := seekFuzzFrames(seed, shape, m, n)
+		cfg := Config{
+			ErrorBound:         1e-4,
+			BufferSize:         1 + int(bufSize%12),
+			CheckpointInterval: int(interval % 6),
+			SeekIndex:          knobs&1 != 0,
+			AdaptInterval:      int(knobs >> 1 & 1),
+			Workers:            1,
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range frames {
+			if err := w.WriteFrame(fr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		want, err := NewReaderWorkers(bytes.NewReader(data), 1).ReadAll()
+		if err != nil || len(want) != m {
+			t.Fatalf("full decode: %d of %d frames, err %v", len(want), m, err)
+		}
+
+		opts := ReaderOptions{Pipeline: 2 * int(knobs>>2&1), Workers: 1 + int(knobs>>3&1)}
+		r := NewReaderWith(bytes.NewReader(data), opts)
+		defer r.Close()
+		rng := rand.New(rand.NewSource(seed ^ int64(lo)<<20 ^ int64(width)<<40))
+		a, span := int(lo)%m, 1+int(width)%16
+		end := 0
+		for i := 0; i < 3; i++ {
+			if i > 0 {
+				a, span = rng.Intn(m), 1+rng.Intn(16)
+			}
+			end = min(a+span, m)
+			got, err := r.ReadRange(a, a+span)
+			if err != nil {
+				t.Fatalf("%+v %+v: ReadRange(%d, %d): %v", cfg, opts, a, a+span, err)
+			}
+			if !frameSlicesEqual(got, want[a:end]) {
+				t.Fatalf("%+v %+v: ReadRange(%d, %d) differs from the full decode", cfg, opts, a, a+span)
+			}
+		}
+		for i := end; ; i++ {
+			f, err := r.ReadFrame()
+			if errors.Is(err, io.EOF) {
+				if i != m {
+					t.Fatalf("%+v %+v: stream ended at snapshot %d of %d", cfg, opts, i, m)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("%+v %+v: reading on from %d: %v", cfg, opts, end, err)
+			}
+			if i >= m || !framesExactEqual(f, want[i]) {
+				t.Fatalf("%+v %+v: snapshot %d read on after the windows differs", cfg, opts, i)
+			}
+		}
+	})
+}
+
+// seekFuzzFrames builds an m-snapshot trajectory of n particles in one of
+// three shapes: 0 constant; 1 drifting, a liquid whose particles diffuse
+// with correlated velocities; 2 regime shift, particles vibrating around
+// their starting sites for the first half and diffusing in the second, so
+// snapshot 0 stops predicting them and ADP moves between MT and VQT.
+func seekFuzzFrames(seed int64, shape uint8, m, n int) []Frame {
+	rng := rand.New(rand.NewSource(seed))
+	box := math.Cbrt(float64(n) / 0.08)
+	var pos, vel [3][]float64
+	for axis := range pos {
+		pos[axis] = make([]float64, n)
+		vel[axis] = make([]float64, n)
+		for i := range pos[axis] {
+			pos[axis][i] = box * rng.Float64()
+			vel[axis][i] = 0.2 * rng.NormFloat64()
+		}
+	}
+	frames := make([]Frame, m)
+	for t := range frames {
+		f := Frame{X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n)}
+		diffuse := t > 0 && (shape%3 == 1 || (shape%3 == 2 && t >= m/2))
+		for axis, dst := range [3][]float64{f.X, f.Y, f.Z} {
+			for i := range dst {
+				if diffuse {
+					vel[axis][i] = 0.9*vel[axis][i] + 0.087*rng.NormFloat64()
+					pos[axis][i] += vel[axis][i]
+				}
+				dst[i] = pos[axis][i]
+				if shape%3 == 2 && !diffuse {
+					dst[i] += 0.02 * rng.NormFloat64()
+				}
+			}
+		}
+		frames[t] = f
+	}
+	return frames
 }

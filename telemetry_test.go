@@ -112,6 +112,21 @@ func TestTelemetryDisabled(t *testing.T) {
 	if NewDecompressor().Telemetry() != nil {
 		t.Error("disabled decompressor telemetry must be nil")
 	}
+	// The read-path counters of a Reader without telemetry are nil
+	// handles: counting index loads, rebuilds and reseeds costs nothing.
+	r := NewReader(bytes.NewReader(nil))
+	if r.Telemetry() != nil {
+		t.Error("disabled reader telemetry must be nil")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.tel.indexLoads.Inc()
+		r.tel.indexRebuilds.Inc()
+		r.tel.reseedsCheckpoint.Inc()
+		r.tel.reseedsBlock0.Inc()
+		r.tel.reseedsUnneeded.Inc()
+	}); allocs != 0 {
+		t.Errorf("disabled read-path counters allocated %v per op, want 0", allocs)
+	}
 }
 
 // TestStreamTelemetry checks the Writer's container accounting and that the
