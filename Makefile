@@ -36,14 +36,14 @@ bench-compare:
 	$(GO) run ./cmd/mdzbench -entropy -compare BENCH_entropy.json
 
 # Multi-worker scaling benchmark: Writer compress MB/s over the
-# Workers x Shards grid, baseline vs pipelined/amortized knobs. Refreshes
-# the committed report; CI diffs against it warn-only.
+# Workers x Shards grid, baseline vs ADPSampleShards=1 alone (a single-knob
+# ablation). Refreshes the committed report; CI diffs against it warn-only.
 bench-scale:
 	$(GO) run ./cmd/mdzbench -scale -json BENCH_scale.json
 
 # Fast-read-path benchmark: ReadRange of a tail window vs serial prefix
-# decode on an indexed stream, plus full decode over the pipeline x workers
-# grid. Refreshes the committed report; CI diffs against it warn-only.
+# decode on an indexed stream, plus full decode over Workers 1, 2, 4 and 8.
+# Refreshes the committed report; CI diffs against it warn-only.
 bench-read:
 	$(GO) run ./cmd/mdzbench -read -json BENCH_read.json
 

@@ -17,15 +17,14 @@
 //	mdzbench -entropy -compare BENCH_entropy.json # diff against a report
 //
 // The multi-worker scaling benchmark (Writer compress MB/s over the
-// Workers x Shards grid, baseline vs pipelined/amortized knobs):
+// Workers x Shards grid, baseline vs ADPSampleShards=1):
 //
 //	mdzbench -scale                         # human-readable table
 //	mdzbench -scale -json BENCH_scale.json  # also write the JSON report
 //	mdzbench -scale -compare BENCH_scale.json # warn-only diff against a report
 //
 // The fast-read-path benchmark (ReadRange of a tail window vs serial prefix
-// decode on an indexed stream, plus full decode over the pipeline x workers
-// grid):
+// decode on an indexed stream, plus full decode over the Workers grid):
 //
 //	mdzbench -read                          # human-readable table
 //	mdzbench -read -json BENCH_read.json    # also write the JSON report
@@ -51,7 +50,7 @@ func main() {
 	outDir := flag.String("out", "", "also write <exp>.csv files into this directory")
 	entropy := flag.Bool("entropy", false, "run the entropy-stage benchmark")
 	scaleBench := flag.Bool("scale", false, "run the multi-worker scaling benchmark (Workers x Shards grid)")
-	readBench := flag.Bool("read", false, "run the fast-read-path benchmark (ranged access + pipeline x workers grid)")
+	readBench := flag.Bool("read", false, "run the fast-read-path benchmark (ranged access + workers grid)")
 	jsonPath := flag.String("json", "", "with -entropy/-scale/-read: write the machine-readable report to this path")
 	compare := flag.String("compare", "", "with -entropy/-scale/-read: diff the run against a committed report")
 	flag.Parse()

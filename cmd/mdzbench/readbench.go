@@ -8,7 +8,7 @@ import (
 )
 
 // runRead runs the fast-read-path benchmark (ranged access vs serial prefix
-// decode, plus the pipelined full-decode grid), prints the table, and
+// decode, plus the full-decode Workers grid), prints the table, and
 // optionally writes the JSON report and/or diffs (warn-only) against a
 // previously committed report.
 func runRead(jsonPath, comparePath string, cfg bench.Config) error {

@@ -11,22 +11,21 @@ import (
 	mdz "github.com/mdz/mdz"
 )
 
-// ReadPoint is one (Pipeline, Workers) grid point of the read benchmark:
-// full-stream decode throughput through the Reader with the given pipeline
-// depth and worker count. Speedup is against the serial point (0, 1).
+// ReadPoint is one Workers grid point of the read benchmark: full-stream
+// decode throughput through the Reader with the given worker count.
+// Speedup is against the serial point (Workers 1).
 type ReadPoint struct {
-	Pipeline int     `json:"pipeline"`
-	Workers  int     `json:"workers"`
-	MBps     float64 `json:"mb_per_s"`
-	Speedup  float64 `json:"speedup"`
+	Workers int     `json:"workers"`
+	MBps    float64 `json:"mb_per_s"`
+	Speedup float64 `json:"speedup"`
 }
 
 // ReadReport is the machine-readable output of RunRead, committed as
 // BENCH_read.json. It measures the two halves of the fast read path on an
 // indexed stream: random access (ReadRange of a tail window vs decoding the
-// serial prefix to reach it) and pipelined parallel full decode (the
-// Pipeline x Workers grid). Decoded frames are byte-identical across every
-// configuration, so the numbers differ only in wall clock.
+// serial prefix to reach it) and parallel full decode (the Workers grid).
+// Decoded frames are byte-identical across every configuration, so the
+// numbers differ only in wall clock.
 type ReadReport struct {
 	Dataset     string `json:"dataset"`
 	Snapshots   int    `json:"snapshots"`
@@ -51,18 +50,16 @@ type ReadReport struct {
 	RangedSpeedup  float64 `json:"ranged_speedup"`
 
 	Points []ReadPoint `json:"points"`
-	// HeadlineSpeedup is the pipelined full-decode speedup at the
-	// (pipeline=8, workers=8) grid point.
+	// HeadlineSpeedup is the full-decode speedup at the workers=8 grid
+	// point.
 	HeadlineSpeedup float64 `json:"headline_speedup"`
 }
 
 const readRepeats = 3
 
-// readGrid is the (Pipeline, Workers) matrix; (0, 1) is the serial
-// baseline every speedup is normalized against.
-var readGrid = []struct{ pipeline, workers int }{
-	{0, 1}, {0, 4}, {2, 2}, {4, 4}, {8, 8},
-}
+// readGrid is the Workers axis; 1 is the serial baseline every speedup is
+// normalized against.
+var readGrid = []int{1, 2, 4, 8}
 
 // readTile repeats the generated trajectory to lengthen the stream: random
 // access is only interesting when the serial prefix is long, and the dataset
@@ -159,14 +156,11 @@ func RunRead(cfg Config) (*ReadReport, error) {
 		rep.RangedSpeedup = float64(serialNS) / float64(rangedNS)
 	}
 
-	// Full-stream decode over the Pipeline x Workers grid.
+	// Full-stream decode over the Workers grid.
 	var serialMBps float64
-	for _, g := range readGrid {
+	for _, workers := range readGrid {
 		ns, err := bestOf(func() error {
-			r := mdz.NewReaderWith(bytes.NewReader(stream),
-				mdz.ReaderOptions{Pipeline: g.pipeline, Workers: g.workers})
-			defer r.Close()
-			got, err := r.ReadAll()
+			got, err := mdz.NewReaderWorkers(bytes.NewReader(stream), workers).ReadAll()
 			if err != nil {
 				return err
 			}
@@ -176,17 +170,17 @@ func RunRead(cfg Config) (*ReadReport, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("read bench p=%d w=%d: %w", g.pipeline, g.workers, err)
+			return nil, fmt.Errorf("read bench w=%d: %w", workers, err)
 		}
-		pt := ReadPoint{Pipeline: g.pipeline, Workers: g.workers, MBps: mbps(raw, ns)}
-		if g.pipeline == 0 && g.workers == 1 {
+		pt := ReadPoint{Workers: workers, MBps: mbps(raw, ns)}
+		if workers == 1 {
 			serialMBps = pt.MBps
 		}
 		if serialMBps > 0 {
 			pt.Speedup = pt.MBps / serialMBps
 		}
 		rep.Points = append(rep.Points, pt)
-		if g.pipeline == 8 && g.workers == 8 {
+		if workers == 8 {
 			rep.HeadlineSpeedup = pt.Speedup
 		}
 	}
@@ -234,11 +228,11 @@ func (r *ReadReport) WriteText(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-9s %-8s %12s %9s\n", "pipeline", "workers", "MB/s", "speedup")
+	fmt.Fprintf(w, "%-8s %12s %9s\n", "workers", "MB/s", "speedup")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%-9d %-8d %12.1f %8.2fx\n", p.Pipeline, p.Workers, p.MBps, p.Speedup)
+		fmt.Fprintf(w, "%-8d %12.1f %8.2fx\n", p.Workers, p.MBps, p.Speedup)
 	}
-	fmt.Fprintf(w, "headline (pipeline=8 workers=8): %.2fx\n", r.HeadlineSpeedup)
+	fmt.Fprintf(w, "headline (workers=8): %.2fx\n", r.HeadlineSpeedup)
 	return nil
 }
 
@@ -256,22 +250,22 @@ func CompareRead(w io.Writer, old, cur *ReadReport) error {
 	if cur.RangedSpeedup < 10 {
 		fmt.Fprintf(w, "WARNING: ranged-access speedup %.1fx below the 10x acceptance bar\n", cur.RangedSpeedup)
 	}
-	oldPts := map[[2]int]ReadPoint{}
+	oldPts := map[int]ReadPoint{}
 	for _, p := range old.Points {
-		oldPts[[2]int{p.Pipeline, p.Workers}] = p
+		oldPts[p.Workers] = p
 	}
 	const margin = 0.85
 	for _, p := range cur.Points {
-		o, ok := oldPts[[2]int{p.Pipeline, p.Workers}]
+		o, ok := oldPts[p.Workers]
 		if !ok {
-			fmt.Fprintf(w, "p=%d w=%d: (no baseline point)\n", p.Pipeline, p.Workers)
+			fmt.Fprintf(w, "w=%d: (no baseline point)\n", p.Workers)
 			continue
 		}
-		fmt.Fprintf(w, "p=%d w=%d: %8.1f -> %8.1f MB/s (%+.0f%%)\n",
-			p.Pipeline, p.Workers, o.MBps, p.MBps, pct(o.MBps, p.MBps))
+		fmt.Fprintf(w, "w=%d: %8.1f -> %8.1f MB/s (%+.0f%%)\n",
+			p.Workers, o.MBps, p.MBps, pct(o.MBps, p.MBps))
 		if p.MBps < o.MBps*margin {
-			fmt.Fprintf(w, "WARNING: p=%d w=%d decode throughput regressed %.1f -> %.1f MB/s\n",
-				p.Pipeline, p.Workers, o.MBps, p.MBps)
+			fmt.Fprintf(w, "WARNING: w=%d decode throughput regressed %.1f -> %.1f MB/s\n",
+				p.Workers, o.MBps, p.MBps)
 		}
 	}
 	fmt.Fprintf(w, "headline: %.2fx -> %.2fx\n", old.HeadlineSpeedup, cur.HeadlineSpeedup)

@@ -20,11 +20,11 @@ func TestReadReportShape(t *testing.T) {
 	}
 	for _, p := range rep.Points {
 		if p.MBps <= 0 || p.Speedup <= 0 {
-			t.Errorf("p=%d w=%d: non-positive measurement %+v", p.Pipeline, p.Workers, p)
+			t.Errorf("w=%d: non-positive measurement %+v", p.Workers, p)
 		}
 	}
 	if rep.HeadlineSpeedup <= 0 {
-		t.Fatal("headline point (pipeline=8 workers=8) missing from the grid")
+		t.Fatal("headline point (workers=8) missing from the grid")
 	}
 	if rep.SerialPrefixMs <= 0 || rep.RangedMs <= 0 || rep.RangedSpeedup <= 0 {
 		t.Errorf("random-access half not measured: %+v", rep)

@@ -11,9 +11,9 @@ import (
 )
 
 // ScalePoint is one (Workers, Shards) grid point of the scaling benchmark:
-// the same trajectory compressed with the pre-PR execution knobs (baseline:
-// synchronous Writer, full ADP trials) and with the pipelined/amortized
-// knobs (tuned), on the same worker pool and shard layout.
+// the same trajectory compressed with full ADP trials on every shard
+// (baseline) and with ADPSampleShards=1 alone (tuned), on the same worker
+// pool and shard layout — a single-knob ablation.
 type ScalePoint struct {
 	Workers       int     `json:"workers"`
 	Shards        int     `json:"shards"`
@@ -29,8 +29,8 @@ type ScalePoint struct {
 // (raw MB/s into io.Discard), best of Repeats runs per configuration.
 // GOMAXPROCS and NumCPU are recorded because the worker grid only buys
 // wall-clock parallelism when the host actually has the cores; on a
-// single-core host the speedup comes from the amortized-ADP and pipeline
-// knobs, not from scheduling.
+// single-core host the speedup comes from the amortized-ADP knob, not from
+// scheduling.
 type ScaleReport struct {
 	Dataset         string       `json:"dataset"`
 	Snapshots       int          `json:"snapshots"`
@@ -41,12 +41,11 @@ type ScaleReport struct {
 	GOMAXPROCS      int          `json:"gomaxprocs"`
 	NumCPU          int          `json:"num_cpu"`
 	AdaptInterval   int          `json:"adapt_interval"`
-	PipelineDepth   int          `json:"pipeline_depth"`
 	ADPSampleShards int          `json:"adp_sample_shards"`
 	Repeats         int          `json:"repeats"`
 	Points          []ScalePoint `json:"points"`
 	// HeadlineSpeedup is tuned/baseline at Workers=8, Shards=8 — the
-	// acceptance number for the pipelined/amortized execution path.
+	// acceptance number for the amortized-ADP knob.
 	HeadlineSpeedup float64 `json:"headline_speedup"`
 }
 
@@ -56,7 +55,6 @@ type ScaleReport struct {
 // knob exists for; production default (50) re-evaluates far less often.
 const (
 	scaleAdaptInterval = 2
-	scalePipelineDepth = 2
 	scaleSampleShards  = 1
 	scaleRepeats       = 2
 )
@@ -90,7 +88,6 @@ func RunScale(cfg Config) (*ScaleReport, error) {
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		NumCPU:          runtime.NumCPU(),
 		AdaptInterval:   scaleAdaptInterval,
-		PipelineDepth:   scalePipelineDepth,
 		ADPSampleShards: scaleSampleShards,
 		Repeats:         scaleRepeats,
 	}
@@ -101,7 +98,6 @@ func RunScale(cfg Config) (*ScaleReport, error) {
 			Workers: g.workers, Shards: g.shards,
 		}
 		tuned := base
-		tuned.PipelineDepth = scalePipelineDepth
 		tuned.ADPSampleShards = scaleSampleShards
 
 		bMBps, bRatio, err := scaleRun(base, frames, raw)
@@ -129,8 +125,8 @@ func RunScale(cfg Config) (*ScaleReport, error) {
 }
 
 // scaleRun times one configuration: best wall clock of scaleRepeats full
-// Writer runs into io.Discard, each on a fresh Writer so ADP state and the
-// pipeline start cold. Returns raw MB/s and the compression ratio.
+// Writer runs into io.Discard, each on a fresh Writer so ADP state starts
+// cold. Returns raw MB/s and the compression ratio.
 func scaleRun(cfg mdz.Config, frames []mdz.Frame, raw int64) (mbPerS, ratio float64, err error) {
 	var bestNS int64
 	var comp int64
@@ -179,9 +175,9 @@ func ReadScaleReport(data []byte) (*ScaleReport, error) {
 // WriteText renders the report as an aligned human-readable table.
 func (r *ScaleReport) WriteText(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "scale benchmark: %s (%d snapshots x %d atoms, batch %d, %s, GOMAXPROCS=%d/%d CPUs)\n"+
-		"tuned knobs: pipeline_depth=%d adp_sample_shards=%d, ADP re-eval every %d batches\n",
+		"tuned knob: adp_sample_shards=%d, ADP re-eval every %d batches\n",
 		r.Dataset, r.Snapshots, r.Atoms, r.BatchSize, r.GoVersion, r.GOMAXPROCS, r.NumCPU,
-		r.PipelineDepth, r.ADPSampleShards, r.AdaptInterval)
+		r.ADPSampleShards, r.AdaptInterval)
 	if err != nil {
 		return err
 	}

@@ -315,6 +315,60 @@ func TestDaemonDrainRestartClosedSession(t *testing.T) {
 	tc2.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[:1]), http.StatusConflict)
 }
 
+// TestDaemonDrainRestartKeepsSessionConfig: a drain/restart keeps every
+// Config field a session was created with. Shards and ADPSampleShards shape
+// the bytes and SeekIndex adds the seek table, so the finished container
+// must equal the library run under the full Config; Workers only
+// schedules, so it is checked on the restored session itself.
+func TestDaemonDrainRestartKeepsSessionConfig(t *testing.T) {
+	traj := makeTraj(20, 100, 42)
+	base := mdz.Config{ErrorBound: 1e-3, CheckpointInterval: 2, BufferSize: 3}
+	for _, tc := range []struct {
+		name, knobs string
+		cfg         func(*mdz.Config)
+	}{
+		{"seek_index", `"seek_index":true`, func(c *mdz.Config) { c.SeekIndex = true }},
+		{"shards", `"shards":4`, func(c *mdz.Config) { c.Shards = 4 }},
+		{"adp_sample_shards", `"shards":4,"adp_sample_shards":1`, func(c *mdz.Config) {
+			c.Shards, c.ADPSampleShards = 4, 1
+		}},
+		{"all", `"seek_index":true,"shards":4,"adp_sample_shards":1,"workers":2`, func(c *mdz.Config) {
+			c.SeekIndex, c.Shards, c.ADPSampleShards, c.Workers = true, 4, 1, 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			libCfg := base
+			tc.cfg(&libCfg)
+			body := `{"error_bound":1e-3,"checkpoint_interval":2,"buffer_size":3,` + tc.knobs + `}`
+			state := filepath.Join(t.TempDir(), "mdzd.state")
+
+			srv1, tc1 := newTestEnv(t, Options{StatePath: state})
+			id := tc1.create(body)
+			tc1.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[:11]), http.StatusAccepted)
+			if err := srv1.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			srv1.Close()
+
+			srv2, tc2 := newTestEnv(t, Options{StatePath: state})
+			defer srv2.Close()
+			s, ok := srv2.lookup(id)
+			if !ok {
+				t.Fatalf("session %s not restored", id)
+			}
+			if s.cfg.Workers != libCfg.Workers {
+				t.Errorf("restored workers = %d, want %d", s.cfg.Workers, libCfg.Workers)
+			}
+			tc2.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[11:]), http.StatusAccepted)
+			tc2.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
+			got := tc2.do(http.MethodGet, "/v1/sessions/"+id+"/stream", nil, http.StatusOK)
+			if want := libraryContainer(t, libCfg, traj); !bytes.Equal(got, want) {
+				t.Fatalf("post-restart container diverges from the library run (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
 // TestDaemonRangedRead reads decoded frame ranges out of a live (unclosed)
 // session and the stream endpoint with an HTTP Range header.
 func TestDaemonRangedRead(t *testing.T) {
@@ -577,10 +631,10 @@ func TestDaemonSessionKnobs(t *testing.T) {
 	srv, tc := newTestEnv(t, Options{MemGlobal: 32 << 20})
 	traj := makeTraj(24, 96, 23)
 	got := tc.runSession(`{"error_bound":1e-3,"buffer_size":4,"checkpoint_interval":2,`+
-		`"workers":2,"shards":4,"adp_sample_shards":1,"pipeline_depth":2}`, traj)
+		`"workers":2,"shards":4,"adp_sample_shards":1}`, traj)
 	want := libraryContainer(t, mdz.Config{
 		ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 2,
-		Workers: 2, Shards: 4, ADPSampleShards: 1, PipelineDepth: 2,
+		Workers: 2, Shards: 4, ADPSampleShards: 1,
 	}, traj)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("session container (%d bytes) differs from library container (%d bytes)", len(got), len(want))
@@ -588,8 +642,6 @@ func TestDaemonSessionKnobs(t *testing.T) {
 	for _, body := range []string{
 		`{"error_bound":1e-3,"workers":65}`,
 		`{"error_bound":1e-3,"workers":-1}`,
-		`{"error_bound":1e-3,"pipeline_depth":9}`,
-		`{"error_bound":1e-3,"pipeline_depth":-1}`,
 		`{"error_bound":1e-3,"shards":-1}`,
 		`{"error_bound":1e-3,"shards":1000000}`,
 		`{"error_bound":1e-3,"adp_sample_shards":1000000}`,
@@ -598,20 +650,6 @@ func TestDaemonSessionKnobs(t *testing.T) {
 	}
 	if used := srv.MemoryUsed(); used != 0 {
 		t.Fatalf("knob session leaked %d budgeted bytes", used)
-	}
-}
-
-// TestDaemonPipelinedDeleteActive: deleting a session whose Writer runs a
-// pipelined io goroutine must not leak the goroutine or budgeted bytes —
-// release closes the Writer best-effort.
-func TestDaemonPipelinedDeleteActive(t *testing.T) {
-	srv, tc := newTestEnv(t, Options{MemGlobal: 16 << 20})
-	traj := makeTraj(12, 80, 13)
-	id := tc.create(`{"error_bound":1e-3,"checkpoint_interval":2,"pipeline_depth":4}`)
-	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj), http.StatusAccepted)
-	tc.do(http.MethodDelete, "/v1/sessions/"+id, nil, http.StatusNoContent)
-	if used := srv.MemoryUsed(); used != 0 {
-		t.Fatalf("delete leaked %d budgeted bytes", used)
 	}
 }
 

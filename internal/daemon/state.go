@@ -35,6 +35,13 @@ type drainMeta struct {
 	Method             int     `json:"method"`
 	BufferSize         int     `json:"buffer_size"`
 	CheckpointInterval int     `json:"checkpoint_interval"`
+	// Workers, Shards, ADPSampleShards and SeekIndex are absent from files
+	// drained by older builds and restore as zero, the values those builds
+	// resumed with.
+	Workers         int  `json:"workers,omitempty"`
+	Shards          int  `json:"shards,omitempty"`
+	ADPSampleShards int  `json:"adp_sample_shards,omitempty"`
+	SeekIndex       bool `json:"seek_index,omitempty"`
 	// FormatVersion is 3 only for sessions drained by builds that still
 	// wrote v3. Closed ones restore and read back; active ones past their
 	// first block fail to resume, because mdz.ResumeWriter refuses v3
@@ -122,6 +129,10 @@ func (s *session) export() ([]byte, error) {
 		Method:             int(s.cfg.Method),
 		BufferSize:         s.cfg.BufferSize,
 		CheckpointInterval: s.cfg.CheckpointInterval,
+		Workers:            s.cfg.Workers,
+		Shards:             s.cfg.Shards,
+		ADPSampleShards:    s.cfg.ADPSampleShards,
+		SeekIndex:          s.cfg.SeekIndex,
 	}
 	container := append([]byte(nil), s.buf.Bytes()...)
 	s.mu.Unlock()
@@ -194,6 +205,10 @@ func (srv *Server) restore(path string) (int, error) {
 			Method:             mdz.Method(meta.Method),
 			BufferSize:         meta.BufferSize,
 			CheckpointInterval: meta.CheckpointInterval,
+			Workers:            meta.Workers,
+			Shards:             meta.Shards,
+			ADPSampleShards:    meta.ADPSampleShards,
+			SeekIndex:          meta.SeekIndex,
 		}
 		s, err := srv.buildSession(meta.ID, meta.Tenant, cfg, container, wst)
 		if err != nil {

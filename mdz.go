@@ -180,15 +180,6 @@ type Config struct {
 	// round of the resumed run always trials. Ignored unless Method is
 	// ADP.
 	ADPRetrialInterval int
-	// PipelineDepth, when positive, makes Writer overlap compression of
-	// batch N+1 with framing, checksumming and io of batch N through a
-	// bounded queue of at most PipelineDepth in-flight compressed batches.
-	// Frame order, stream bytes and resume state are identical to the
-	// synchronous default (0); Flush, ExportState and Close drain the
-	// queue first. A write error surfaces on a later WriteFrame, Flush or
-	// Close — at most PipelineDepth batches late. Only Writer consults
-	// this field.
-	PipelineDepth int
 	// Telemetry enables pipeline instrumentation: per-stage wall time,
 	// ADP decisions, quantization scope rates, pool utilization and (via
 	// Writer/Reader) stream framing overhead. Snapshots are read with
@@ -262,9 +253,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	}
 	if cfg.ADPRetrialInterval < 0 {
 		return nil, fmt.Errorf("mdz: ADPRetrialInterval must be non-negative, got %d", cfg.ADPRetrialInterval)
-	}
-	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > MaxPipelineDepth {
-		return nil, fmt.Errorf("mdz: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, cfg.PipelineDepth)
 	}
 	if cfg.MaxDecodeBytes < 0 {
 		return nil, fmt.Errorf("mdz: MaxDecodeBytes must be non-negative, got %d", cfg.MaxDecodeBytes)

@@ -244,8 +244,8 @@ func statsEqual(a, b SalvageStats) bool {
 // TestCheckpointSkipNeedsEqualBytes: a reader skips the unpack and compare
 // only for a checkpoint whose packed references equal those it verified.
 // A later checkpoint carrying different references (CRC-valid) is still
-// unpacked and compared, so serial and pipelined strict readers fail with
-// ErrStateDesync at it, after delivering every snapshot before it.
+// unpacked and compared, so a strict reader fails with ErrStateDesync at
+// it, after delivering every snapshot before it.
 func TestCheckpointSkipNeedsEqualBytes(t *testing.T) {
 	frames := makeFrames(16, 90, 33)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 1})
@@ -280,12 +280,8 @@ func TestCheckpointSkipNeedsEqualBytes(t *testing.T) {
 		out = append(append(out, hdr[:]...), payload...)
 		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 	}
-	for _, opts := range []ReaderOptions{{}, {Pipeline: 2, Workers: 2}} {
-		r := NewReaderWith(bytes.NewReader(out), opts)
-		got, err := r.ReadAll()
-		r.Close()
-		if !errors.Is(err, ErrStateDesync) || len(got) != 8 {
-			t.Fatalf("%+v: read %d snapshots, err %v; want 8 then ErrStateDesync", opts, len(got), err)
-		}
+	got, err := NewReader(bytes.NewReader(out)).ReadAll()
+	if !errors.Is(err, ErrStateDesync) || len(got) != 8 {
+		t.Fatalf("read %d snapshots, err %v; want 8 then ErrStateDesync", len(got), err)
 	}
 }

@@ -82,17 +82,13 @@ go run ./cmd/mdzbench -entropy -compare BENCH_entropy.json
 go run ./cmd/mdzbench -scale -compare BENCH_scale.json
 
 # Read-path gate, warn-only for the same wall-clock reason: diff a fresh
-# ranged-access + pipelined-decode run against the committed report. The
-# byte-identity guard on the parallel Reader is deterministic and lives in
-# the test suite (TestPipelinedReaderDifferential), re-run here under the
-# race detector because ordered delivery across read-ahead and decode
-# workers is exactly the kind of coordination races hide in.
+# ranged-access + Workers-grid decode run against the committed report.
+# Decoded frames are identical for any worker count; that guard is
+# deterministic and lives in the test suite.
 go run ./cmd/mdzbench -read -compare BENCH_read.json
-go test -race -count=2 -run 'TestPipelined|TestSeekIndexedStream|TestReadRangeWindows' .
 
 # Random access under the race detector, ten times over: a reseed that Seek
-# leaves pending is applied on the caller's goroutine while the pipelined
-# Reader's fetch goroutine reads ahead and its decode workers run groups
-# of blocks that need no reference, so the seek, checkpoint, salvage and
-# pipeline tests are repeated to vary those schedules.
-go test -race -count=10 -run 'Seek|ReadRange|Checkpoint|Resync|Pipeline' .
+# leaves pending unpacks a checkpoint's three axis references concurrently
+# on the decoder's pool, and sharded blocks decode on the same pool, so the
+# seek, checkpoint and salvage tests are repeated to vary those schedules.
+go test -race -count=10 -run 'Seek|ReadRange|Checkpoint|Resync' .

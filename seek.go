@@ -68,7 +68,6 @@ func (r *Reader) Seek(snapshot int) error {
 		return fmt.Errorf("mdz: negative seek target %d", snapshot)
 	}
 	r.err = nil
-	r.stopPipe()
 	if !r.opened {
 		if err := r.open(); err != nil {
 			return r.fail(err)

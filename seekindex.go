@@ -241,14 +241,9 @@ func RetrofitSeekIndex(src io.ReadSeeker, dst io.Writer) (int, error) {
 }
 
 // appendWireFrame appends one complete wire frame (header, payload, CRCs)
-// to dst — the same bytes Writer.emitFrame produces.
+// to dst — the same bytes Writer.writeFrame produces.
 func appendWireFrame(dst []byte, typ byte, seq uint32, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameSync[:])
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:9], seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(hdr[4:13], crcTable))
+	hdr := frameHeader(typ, seq, len(payload))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, payload...)
 	var pcrc [frameCRCSize]byte

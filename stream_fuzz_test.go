@@ -181,12 +181,18 @@ func FuzzDecodeBatch(f *testing.F) {
 // FuzzSeekRange checks random access across the knob space. A random
 // trajectory (constant, drifting or regime-shift, so ADP moves between
 // MT and VQT mid-stream) is written with a random BufferSize,
-// CheckpointInterval 0–5, SeekIndex on or off and ADP re-evaluating every
-// batch or on its default schedule; one Reader, serial or pipelined, then
+// CheckpointInterval 0–5, SeekIndex on or off, ADP re-evaluating every
+// batch or on its default schedule and Shards 0, 1 or 3. The same stream
+// is optionally written again with 1 or 2 Workers, split at a random frame
+// by ExportState, MarshalBinary, UnmarshalBinary and ResumeWriter; its
+// bytes must equal the unsplit write. One Reader with 1 or 2 Workers then
 // serves three random windows and reads on to the end. Every window and
 // the tail must be bit-identical to the same slice of a full sequential
 // decode — whichever windows leave a reseed pending and whichever resolve
 // it.
+//
+// knobs: bit 0 SeekIndex, bit 1 AdaptInterval, bit 2 the split write,
+// bit 3 Workers, bits 4–5 Shards.
 func FuzzSeekRange(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(4), uint8(2), uint8(0x05), uint16(37), uint8(9))
 	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0x0f), uint16(60), uint8(3))
@@ -204,30 +210,26 @@ func FuzzSeekRange(f *testing.F) {
 			CheckpointInterval: int(interval % 6),
 			SeekIndex:          knobs&1 != 0,
 			AdaptInterval:      int(knobs >> 1 & 1),
+			Shards:             [3]int{0, 1, 3}[int(knobs>>4&3)%3],
 			Workers:            1,
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fr := range frames {
-			if err := w.WriteFrame(fr); err != nil {
-				t.Fatal(err)
+		workers := 1 + int(knobs>>3&1)
+		data := writeSplit(t, frames, cfg, m)
+		if knobs&4 != 0 {
+			split := int(lo) % m
+			wcfg := cfg
+			wcfg.Workers = workers
+			if got := writeSplit(t, frames, wcfg, split); !bytes.Equal(got, data) {
+				t.Fatalf("%+v: split at frame %d: %d container bytes, unsplit %d", wcfg, split, len(got), len(data))
 			}
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
 		want, err := NewReaderWorkers(bytes.NewReader(data), 1).ReadAll()
 		if err != nil || len(want) != m {
 			t.Fatalf("full decode: %d of %d frames, err %v", len(want), m, err)
 		}
 
-		opts := ReaderOptions{Pipeline: 2 * int(knobs>>2&1), Workers: 1 + int(knobs>>3&1)}
+		opts := ReaderOptions{Workers: workers}
 		r := NewReaderWith(bytes.NewReader(data), opts)
-		defer r.Close()
 		rng := rand.New(rand.NewSource(seed ^ int64(lo)<<20 ^ int64(width)<<40))
 		a, span := int(lo)%m, 1+int(width)%16
 		end := 0
@@ -260,6 +262,30 @@ func FuzzSeekRange(f *testing.F) {
 			}
 		}
 	})
+}
+
+// writeSplit writes frames as one stream under cfg. When split < len(frames),
+// the Writer is migrated after frames[:split] (migrateWriter) and the
+// resumed Writer appends the rest.
+func writeSplit(t *testing.T, frames []Frame, cfg Config, split int) []byte {
+	t.Helper()
+	buf := &bytes.Buffer{}
+	w, err := NewWriter(buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fr := range frames {
+		if i == split {
+			w, buf = migrateWriter(t, w, buf, cfg)
+		}
+		if err := w.WriteFrame(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // seekFuzzFrames builds an m-snapshot trajectory of n particles in one of
